@@ -181,7 +181,6 @@ impl P3 {
     fn build_messages(
         txn: Uuid,
         tenant: Option<TenantId>,
-        ctx: Option<SpanContext>,
         obj_lines: &[String],
         records: &[ProvenanceRecord],
         message_limit: usize,
@@ -210,23 +209,9 @@ impl P3 {
         let total = bodies.len();
         // A tenant-attributed client stamps its tenant as an optional
         // header field so daemon-side change-feed events can carry the
-        // originating tenant, and a tracing client appends its root
-        // span context (`ctx:…`) the same way — the propagation seam
-        // that connects the client's trace tree to the daemon's commit
-        // phases. Both fields are optional and self-describing (numeric
-        // vs `ctx:`-prefixed), so shorter headers parse unchanged.
-        let extra = {
-            let mut s = String::new();
-            if let Some(t) = tenant {
-                s.push('\t');
-                s.push_str(&t.0.to_string());
-            }
-            if let Some(c) = ctx {
-                s.push('\t');
-                s.push_str(&c.encode());
-            }
-            s
-        };
+        // originating tenant. Tracing adds nothing: the trace id is the
+        // txn id already in the header.
+        let extra = tenant.map_or(String::new(), |t| format!("\t{}", t.0));
         bodies
             .into_iter()
             .enumerate()
@@ -259,7 +244,7 @@ impl P3 {
         // Trace: open this transaction's lifecycle root (trace id = txn
         // id) and a `flush` child covering the log phase. The guard's
         // scope makes every metered client op inside the fan-out a leaf
-        // span, and the root context rides the WAL header to the daemon.
+        // span; the daemon finds the root again by txn id.
         let tracer = self.env.tracer();
         let tenant_tag = self.env.tenant().map(|t| t.0);
         let root = tracer.open_txn(txn.0, tenant_tag);
@@ -308,7 +293,6 @@ impl P3 {
         let messages = Self::build_messages(
             txn,
             self.env.tenant(),
-            root,
             &obj_lines,
             &records,
             self.config.wal_message_limit,
@@ -460,7 +444,6 @@ impl StorageProtocol for P3 {
 struct TxnBuf {
     total: Option<usize>,
     tenant: Option<TenantId>,
-    ctx: Option<SpanContext>,
     parts: BTreeMap<usize, String>,
     receipts: Vec<String>,
 }
@@ -469,9 +452,6 @@ struct TxnBuf {
 struct ParsedTxn {
     txn: Uuid,
     tenant: Option<TenantId>,
-    /// Root span context carried in the WAL header, when the logging
-    /// client was tracing.
-    ctx: Option<SpanContext>,
     files: Vec<(String, String, PNodeId)>,
     records: Vec<ProvenanceRecord>,
     /// CAS hashes whose registry records this member still needs
@@ -795,7 +775,7 @@ impl CommitDaemon {
             let mut buf = self.buf.lock();
             for m in msgs {
                 let body = String::from_utf8_lossy(&m.body).to_string();
-                let Some((txn, seq, total, tenant, ctx, rest)) = parse_header(&body) else {
+                let Some((txn, seq, total, tenant, rest)) = parse_header(&body) else {
                     // Garbage message: queue it for the batched drop.
                     drops.push(m.receipt);
                     continue;
@@ -816,14 +796,12 @@ impl CommitDaemon {
                     TxnBuf {
                         total: None,
                         tenant: None,
-                        ctx: None,
                         parts: BTreeMap::new(),
                         receipts: Vec::new(),
                     }
                 });
                 entry.total = Some(total);
                 entry.tenant = entry.tenant.or(tenant);
-                entry.ctx = entry.ctx.or(ctx);
                 entry.parts.insert(seq, rest);
                 entry.receipts.push(m.receipt);
                 if entry.parts.len() == total && !ready.contains(&txn) {
@@ -963,7 +941,6 @@ impl CommitDaemon {
             txns.push(ParsedTxn {
                 txn,
                 tenant: entry.tenant,
-                ctx: entry.ctx,
                 files,
                 records,
                 cas_shas,
@@ -971,20 +948,17 @@ impl CommitDaemon {
             });
         }
 
-        // Trace: resolve each member's root (header context, or the
-        // shared tracer's record when the client ran in-process), mark
-        // group entry, and elect a lead root to parent the phase spans.
+        // Trace: find each member's root by its txn id in the shared
+        // tracer (also how a steal's recommit lands on the original
+        // tree), mark group entry, and elect a lead root to parent the
+        // phase spans.
         // Non-lead traced members get identical phase spans under their
         // own roots, so every member's root-to-leaf walk is complete.
         let roots: Vec<Option<SpanContext>> = txns
             .iter()
             .map(|t| {
-                let ctx = t.ctx.or_else(|| tracer.root_ctx(t.txn.0));
-                if let Some(c) = ctx {
-                    tracer.register_root(c, t.tenant.map(|x| x.0));
-                    tracer.mark_group_start(c.trace, t_group);
-                }
-                ctx
+                tracer.mark_group_start(t.txn.0, t_group);
+                tracer.root_ctx(t.txn.0)
             })
             .collect();
         let lead = roots.iter().flatten().next().copied();
@@ -1448,14 +1422,7 @@ impl CommitDaemon {
 /// One CAS-blob fetch, boxed for `Sim::run_parallel`.
 type CasFetchTask = Box<dyn FnOnce() -> Result<Option<Vec<ProvenanceRecord>>> + Send>;
 
-type ParsedHeader = (
-    Uuid,
-    usize,
-    usize,
-    Option<TenantId>,
-    Option<SpanContext>,
-    String,
-);
+type ParsedHeader = (Uuid, usize, usize, Option<TenantId>, String);
 
 fn parse_header(body: &str) -> Option<ParsedHeader> {
     let (header, rest) = body.split_once('\n')?;
@@ -1466,19 +1433,9 @@ fn parse_header(body: &str) -> Option<ParsedHeader> {
     let txn: Uuid = it.next()?.parse().ok()?;
     let seq: usize = it.next()?.parse().ok()?;
     let total: usize = it.next()?.parse().ok()?;
-    // Optional trailing fields, self-describing so old headers parse
-    // unchanged: a numeric field is the logging client's tenant, a
-    // `ctx:`-prefixed field is its trace context.
-    let mut tenant = None;
-    let mut ctx = None;
-    for field in it {
-        if let Some(c) = SpanContext::decode(field) {
-            ctx = Some(c);
-        } else if let Ok(t) = field.parse() {
-            tenant = Some(TenantId(t));
-        }
-    }
-    Some((txn, seq, total, tenant, ctx, rest.to_string()))
+    // Optional trailing field: the logging client's tenant.
+    let tenant = it.next().and_then(|f| f.parse().ok()).map(TenantId);
+    Some((txn, seq, total, tenant, rest.to_string()))
 }
 
 /// Mirrors one group-commit phase span onto every traced non-lead
@@ -1982,11 +1939,32 @@ mod tests {
         let records: Vec<_> = (0..2000)
             .map(|i| ProvenanceRecord::new(id, Attr::Custom(format!("a{i}")), "z".repeat(50)))
             .collect();
-        let msgs = P3::build_messages(Uuid(1), None, None, &[], &records, MESSAGE_LIMIT);
-        assert!(msgs.len() > 10);
-        for m in &msgs {
-            assert!(m.len() <= MESSAGE_LIMIT, "message of {} bytes", m.len());
+        // The widest header left: the longest tenant field.
+        for tenant in [None, Some(TenantId(u32::MAX))] {
+            let msgs = P3::build_messages(Uuid(1), tenant, &[], &records, MESSAGE_LIMIT);
+            assert!(msgs.len() > 10);
+            for m in &msgs {
+                assert!(m.len() <= MESSAGE_LIMIT, "message of {} bytes", m.len());
+            }
         }
+    }
+
+    #[test]
+    fn traced_flush_of_full_wal_messages_fits_the_sqs_limit() {
+        // A flush large enough to pack WAL bodies up to the message
+        // limit: tracing must not add header bytes past `HEADER_ROOM`.
+        let (_sim, env, p3) = setup();
+        env.tracer().enable(3);
+        let objects = (0..600u128)
+            .map(|i| file_obj(1000 + i, 1, &format!("f{i}"), "x"))
+            .collect();
+        p3.flush(FlushBatch { objects }).unwrap();
+        assert!(
+            env.sqs().peek_depth(p3.wal_url()) > 1,
+            "bodies span messages"
+        );
+        assert_eq!(p3.commit_daemon().run_until_idle().unwrap(), 1);
+        assert_eq!(env.tracer().stats().orphans, 0);
     }
 
     /// Step hook that kills the process at the `occurrence`-th crossing
@@ -2514,33 +2492,18 @@ mod tests {
 
     #[test]
     fn wal_headers_parse_with_and_without_trailing_fields() {
-        // The trailing header fields are self-describing, so pre-tenant
-        // and pre-trace WAL messages (and any mix) all still parse.
+        // The tenant field is optional, so pre-tenant WAL messages still
+        // parse.
         let uuid = format!("{}", Uuid(0xabc));
         let bare = format!("TXN\t{uuid}\t0\t2\nbody");
-        let (txn, seq, total, tenant, ctx, rest) = parse_header(&bare).unwrap();
+        let (txn, seq, total, tenant, rest) = parse_header(&bare).unwrap();
         assert_eq!((txn, seq, total), (Uuid(0xabc), 0, 2));
-        assert_eq!((tenant, ctx), (None, None));
+        assert_eq!(tenant, None);
         assert_eq!(rest, "body");
 
         let tenant_only = format!("TXN\t{uuid}\t1\t2\t7\nbody");
-        let (_, _, _, tenant, ctx, _) = parse_header(&tenant_only).unwrap();
+        let (_, _, _, tenant, _) = parse_header(&tenant_only).unwrap();
         assert_eq!(tenant, Some(TenantId(7)));
-        assert_eq!(ctx, None);
-
-        let span = SpanContext {
-            trace: 0xabc,
-            span: 5,
-        };
-        let ctx_only = format!("TXN\t{uuid}\t0\t2\t{}\nbody", span.encode());
-        let (_, _, _, tenant, ctx, _) = parse_header(&ctx_only).unwrap();
-        assert_eq!(tenant, None);
-        assert_eq!(ctx, Some(span));
-
-        let both = format!("TXN\t{uuid}\t0\t2\t7\t{}\nbody", span.encode());
-        let (_, _, _, tenant, ctx, _) = parse_header(&both).unwrap();
-        assert_eq!(tenant, Some(TenantId(7)));
-        assert_eq!(ctx, Some(span));
 
         // And the writer round-trips through the parser.
         let records = vec![ProvenanceRecord::new(
@@ -2548,26 +2511,18 @@ mod tests {
             Attr::Type,
             "file",
         )];
-        let msgs = P3::build_messages(
-            Uuid(0xabc),
-            Some(TenantId(3)),
-            Some(span),
-            &[],
-            &records,
-            8192,
-        );
-        let (txn, _, _, tenant, ctx, _) = parse_header(&msgs[0]).unwrap();
+        let msgs = P3::build_messages(Uuid(0xabc), Some(TenantId(3)), &[], &records, 8192);
+        let (txn, _, _, tenant, _) = parse_header(&msgs[0]).unwrap();
         assert_eq!(txn, Uuid(0xabc));
         assert_eq!(tenant, Some(TenantId(3)));
-        assert_eq!(ctx, Some(span));
     }
 
     #[test]
     fn trace_survives_a_mid_commit_steal() {
         // Daemon A picks the traced txn up and dies mid-commit (db
         // phase); after the visibility timeout a second daemon receives
-        // the same WAL messages and recommits. The span context rides
-        // the redelivered message, so the takeover still lands under
+        // the same WAL messages and recommits. It finds the root by txn
+        // id in the shared tracer, so the takeover still lands under
         // the original root: one connected tree, zero orphans, and the
         // root span's duration is the txn's true (steal-inflated)
         // commit latency.

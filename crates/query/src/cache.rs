@@ -22,13 +22,15 @@
 //!   delivery means duplicates arrive routinely, and a duplicate re-
 //!   remove is a no-op that can never resurrect a stale entry.
 //! * **Hydration cannot race an invalidation.** An install carries the
-//!   instant its store fetch *started*; it is refused when the key was
-//!   invalidated at or after that instant (the fetch may predate the
-//!   commit), and — under an eventually-consistent profile — until the
-//!   store's `max_staleness` window has also passed, so a stale-replica
-//!   read can never be installed over an invalidation. The same guard
-//!   anchored at attach time covers commits the cache never saw because
-//!   they predate its subscription.
+//!   [`FillTicket`] taken when its store fetch *started*; it is refused
+//!   when the key was invalidated at or after that instant (the fetch
+//!   may predate the commit), and — under an eventually-consistent
+//!   profile — until the store's `max_staleness` window has also
+//!   passed, so a stale-replica read can never be installed over an
+//!   invalidation. A quarantine record outlives every open ticket it
+//!   could refuse, so no fetch is too slow for the guard. The same
+//!   guard anchored at attach time covers commits the cache never saw
+//!   because they predate its subscription.
 //! * **A feed gap fails closed.** The cache mirrors the feed registry's
 //!   per-stream sequence accounting; a skipped sequence (or a detach)
 //!   poisons the cache: everything is flushed and every lookup reports
@@ -144,6 +146,8 @@ struct Inner {
     pages: BTreeMap<PNodeId, Entry<RevPage>>,
     quarantined_uuids: BTreeMap<Uuid, SimTime>,
     quarantined_programs: BTreeMap<String, SimTime>,
+    /// Start instants of the open [`FillTicket`]s, with multiplicity.
+    fills: BTreeMap<SimTime, usize>,
     usage: BTreeMap<Option<TenantId>, usize>,
     bytes: usize,
     tick: u64,
@@ -158,15 +162,37 @@ pub struct AncestryCache {
     inner: Mutex<Inner>,
 }
 
+/// Whether a fetch started at `fetch_start` may install over a key
+/// invalidated at `t`: strictly after it, and past the staleness window.
+fn clears_quarantine(fetch_start: SimTime, t: SimTime, guard: Duration) -> bool {
+    fetch_start > t && fetch_start >= t + guard
+}
+
 /// Rough resident cost of an entry holding `ids` node ids.
 fn entry_bytes(ids: usize) -> usize {
     48 + 24 * ids
 }
 
-/// How long after `t + guard` a quarantine record is still kept around
-/// for in-flight hydrations that started before `t`. Far beyond any
-/// simulated store round-trip.
-const QUARANTINE_SLACK: Duration = Duration::from_secs(60);
+/// One hydration in flight: the instant its store fetch started. Every
+/// install presents the ticket of the fetch it installs, and while the
+/// ticket is open the cache keeps each quarantine record that could
+/// refuse it — however long the fetch takes. Drop it after installing.
+pub struct FillTicket<'a> {
+    cache: &'a AncestryCache,
+    start: SimTime,
+}
+
+impl Drop for FillTicket<'_> {
+    fn drop(&mut self) {
+        let mut g = self.cache.inner.lock();
+        if let Some(n) = g.fills.get_mut(&self.start) {
+            *n -= 1;
+            if *n == 0 {
+                g.fills.remove(&self.start);
+            }
+        }
+    }
+}
 
 impl AncestryCache {
     /// A detached cache on `sim`'s clock. Call [`attach`](Self::attach)
@@ -230,6 +256,14 @@ impl AncestryCache {
     /// Resident bytes currently charged to `owner` (quota tests).
     pub fn owner_bytes(&self, owner: Option<TenantId>) -> usize {
         self.inner.lock().usage.get(&owner).copied().unwrap_or(0)
+    }
+
+    /// Opens a hydration: take the ticket right before the store fetch
+    /// starts and pass it to the installs of what the fetch returns.
+    pub fn begin_fill(&self) -> FillTicket<'_> {
+        let start = self.sim.now();
+        *self.inner.lock().fills.entry(start).or_insert(0) += 1;
+        FillTicket { cache: self, start }
     }
 
     /// Counts one engine-level bypass (cache in play but unusable).
@@ -310,13 +344,16 @@ impl AncestryCache {
             }
             g.quarantined_programs.insert(program.clone(), now);
         }
-        // Quarantines only matter to installs whose fetch started
-        // before the invalidation; keep them well past the staleness
-        // window, then let them go.
+        // A quarantine record only matters to fetches it would refuse.
+        // Every open fill, and every fill still to come, starts no
+        // earlier than `horizon`: once a fetch starting there clears a
+        // record, every install ever to come does too.
+        let horizon = g.fills.keys().next().copied().unwrap_or(now);
         let guard = self.cfg.staleness_guard;
-        let keep = |t: &SimTime| *t + guard + QUARANTINE_SLACK > now;
-        g.quarantined_uuids.retain(|_, t| keep(t));
-        g.quarantined_programs.retain(|_, t| keep(t));
+        g.quarantined_uuids
+            .retain(|_, t| !clears_quarantine(horizon, *t, guard));
+        g.quarantined_programs
+            .retain(|_, t| !clears_quarantine(horizon, *t, guard));
     }
 
     /// Non-counting dry run: would `kind`/`program` be served from
@@ -383,23 +420,22 @@ impl AncestryCache {
         Some(e.value.clone())
     }
 
-    /// Installs a seed lookup fetched from the store. `fetch_start` is
-    /// the instant the store fetch began; the install is refused when
-    /// the program was invalidated at or after it (or within the
-    /// staleness window before it).
+    /// Installs a seed lookup fetched from the store under `fill`; the
+    /// install is refused when the program was invalidated at or after
+    /// the fetch started (or within the staleness window before it).
     pub fn install_seeds(
         &self,
         owner: Option<TenantId>,
         program: &str,
         seeds: &[PNodeId],
-        fetch_start: SimTime,
+        fill: &FillTicket<'_>,
     ) {
         let mut g = self.inner.lock();
         if !(g.attached && g.coherent) {
             return;
         }
         let quarantined = g.quarantined_programs.get(program).copied();
-        if !self.admissible(&g, fetch_start, quarantined) {
+        if !self.admissible(&g, fill.start, quarantined) {
             g.stats.refused_installs += 1;
             return;
         }
@@ -431,7 +467,7 @@ impl AncestryCache {
         owner: Option<TenantId>,
         adj: &RevAdjacency,
         touched: &[PNodeId],
-        fetch_start: SimTime,
+        fill: &FillTicket<'_>,
     ) {
         let mut g = self.inner.lock();
         if !(g.attached && g.coherent) {
@@ -439,7 +475,7 @@ impl AncestryCache {
         }
         let install = |g: &mut Inner, node: PNodeId, page: RevPage| {
             let quarantined = g.quarantined_uuids.get(&node.uuid).copied();
-            if !self.admissible(g, fetch_start, quarantined) {
+            if !self.admissible(g, fill.start, quarantined) {
                 g.stats.refused_installs += 1;
                 return;
             }
@@ -487,10 +523,7 @@ impl AncestryCache {
         if fetch_start < g.floor + guard {
             return false;
         }
-        match quarantined {
-            Some(t) => fetch_start >= t + guard && fetch_start > t,
-            None => true,
-        }
+        quarantined.is_none_or(|t| clears_quarantine(fetch_start, t, guard))
     }
 
     fn q3_from(g: &mut Inner, program: &str, touch: bool) -> Option<Vec<PNodeId>> {
@@ -675,12 +708,13 @@ mod tests {
         let cache = Arc::new(AncestryCache::new(sim, cfg));
         cache.attach();
         sim.sleep(Duration::from_secs(1));
-        let t = sim.now();
         let mut adj = RevAdjacency::default();
         adj.out.insert(node(1), vec![node(2)]);
         adj.files.insert(node(2));
-        cache.install_seeds(None, "etl", &[node(1)], t);
-        cache.install_adjacency(None, &adj, &[node(1), node(2)], t);
+        let fill = cache.begin_fill();
+        cache.install_seeds(None, "etl", &[node(1)], &fill);
+        cache.install_adjacency(None, &adj, &[node(1), node(2)], &fill);
+        drop(fill);
         cache
     }
 
@@ -710,13 +744,13 @@ mod tests {
         // Reinstall with a fetch that started strictly after the
         // invalidation: fresh state, admissible.
         sim.sleep(Duration::from_secs(1));
-        let t = sim.now();
+        let fill = cache.begin_fill();
         let mut adj = RevAdjacency::default();
         adj.out.insert(node(1), vec![node(2), node(3)]);
         adj.files.insert(node(2));
         adj.files.insert(node(3));
-        cache.install_seeds(None, "etl", &[node(1)], t);
-        cache.install_adjacency(None, &adj, &[node(1)], t);
+        cache.install_seeds(None, "etl", &[node(1)], &fill);
+        cache.install_adjacency(None, &adj, &[node(1)], &fill);
         assert_eq!(cache.probe(QueryKind::Q3, "etl"), Some(CacheState::Warm));
 
         // The same event replayed (at-least-once delivery): a strict
@@ -736,7 +770,7 @@ mod tests {
         let cache = seeded(&sim, CacheConfig::default());
         sim.sleep(Duration::from_secs(1));
         // A hydration's store fetch starts now...
-        let fetch_start = sim.now();
+        let fill = cache.begin_fill();
         let mut stale = RevAdjacency::default();
         stale.out.insert(node(1), vec![node(2)]);
         stale.files.insert(node(2));
@@ -747,7 +781,7 @@ mod tests {
         // ...and the fetch completes, trying to install what it read
         // before the commit. The install must be refused.
         sim.sleep(Duration::from_millis(5));
-        cache.install_adjacency(None, &stale, &[node(1)], fetch_start);
+        cache.install_adjacency(None, &stale, &[node(1)], &fill);
         assert_eq!(
             cache.probe(QueryKind::Q3, "etl"),
             Some(CacheState::Cold),
@@ -755,9 +789,37 @@ mod tests {
         );
         assert!(cache.stats().refused_installs > 0);
         // A fetch started after the invalidation installs fine.
-        let t = sim.now();
-        cache.install_adjacency(None, &stale, &[node(1)], t);
+        let fill = cache.begin_fill();
+        cache.install_adjacency(None, &stale, &[node(1)], &fill);
         assert_eq!(cache.probe(QueryKind::Q3, "etl"), Some(CacheState::Warm));
+    }
+
+    #[test]
+    fn slow_hydration_cannot_install_after_its_quarantine_is_reaped() {
+        let sim = Sim::new();
+        let cache = seeded(&sim, CacheConfig::default());
+        sim.sleep(Duration::from_secs(1));
+        let fill = cache.begin_fill();
+        let mut stale = RevAdjacency::default();
+        stale.out.insert(node(1), vec![node(2)]);
+        stale.files.insert(node(2));
+        sim.sleep(Duration::from_millis(5));
+        cache.on_event(&event(1, vec![Uuid(1)], vec![]));
+        // The fetch (a paginated, retried scan) outlasts any fixed
+        // slack, and an unrelated event reaps quarantines meanwhile.
+        sim.sleep(Duration::from_secs(61));
+        cache.on_event(&event(2, vec![Uuid(7)], vec![]));
+        cache.install_adjacency(None, &stale, &[node(1)], &fill);
+        drop(fill);
+        assert_eq!(
+            cache.probe(QueryKind::Q3, "etl"),
+            Some(CacheState::Cold),
+            "the open fill kept uuid 1's quarantine alive"
+        );
+        // With no fill open, the next event reaps both records.
+        sim.sleep(Duration::from_millis(1));
+        cache.on_event(&event(3, vec![], vec![]));
+        assert!(cache.inner.lock().quarantined_uuids.is_empty());
     }
 
     #[test]
@@ -775,21 +837,21 @@ mod tests {
         // not have replicated yet.
         let mut adj = RevAdjacency::default();
         adj.out.insert(node(1), vec![node(2)]);
-        cache.install_adjacency(None, &adj, &[node(2)], sim.now());
+        cache.install_adjacency(None, &adj, &[node(2)], &cache.begin_fill());
         assert_eq!(cache.stats().installs, 0);
         sim.sleep(guard + Duration::from_secs(1));
-        cache.install_seeds(None, "etl", &[node(1)], sim.now());
-        cache.install_adjacency(None, &adj, &[node(2)], sim.now());
+        cache.install_seeds(None, "etl", &[node(1)], &cache.begin_fill());
+        cache.install_adjacency(None, &adj, &[node(2)], &cache.begin_fill());
         assert_eq!(cache.stats().installs, 3, "seeds + page + empty leaf page");
         assert_eq!(cache.probe(QueryKind::Q4, "etl"), Some(CacheState::Warm));
         // After an invalidation, a fetch inside the staleness window may
         // have read a stale replica — refused; past the window it lands.
         cache.on_event(&event(1, vec![Uuid(1)], vec![]));
         sim.sleep(Duration::from_secs(5));
-        cache.install_adjacency(None, &adj, &[node(2)], sim.now());
+        cache.install_adjacency(None, &adj, &[node(2)], &cache.begin_fill());
         assert_eq!(cache.probe(QueryKind::Q4, "etl"), Some(CacheState::Cold));
         sim.sleep(guard);
-        cache.install_adjacency(None, &adj, &[node(2)], sim.now());
+        cache.install_adjacency(None, &adj, &[node(2)], &cache.begin_fill());
         assert_eq!(cache.probe(QueryKind::Q4, "etl"), Some(CacheState::Warm));
     }
 
@@ -825,7 +887,7 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         // Events during the lapse are ignored, installs refused.
         cache.on_event(&event(1, vec![Uuid(1)], vec![]));
-        cache.install_seeds(None, "etl", &[node(1)], sim.now());
+        cache.install_seeds(None, "etl", &[node(1)], &cache.begin_fill());
         assert_eq!(cache.stats().entries, 0);
     }
 
@@ -845,15 +907,15 @@ mod tests {
         let cache = Arc::new(AncestryCache::new(&sim, cfg));
         cache.attach();
         sim.sleep(Duration::from_secs(1));
-        let t = sim.now();
-        cache.install_seeds(b, "b-prog-0", &[node(100)], t);
-        cache.install_seeds(b, "b-prog-1", &[node(101)], t);
+        let fill = cache.begin_fill();
+        cache.install_seeds(b, "b-prog-0", &[node(100)], &fill);
+        cache.install_seeds(b, "b-prog-1", &[node(101)], &fill);
         let b_bytes = cache.owner_bytes(b);
         assert!(b_bytes <= cfg.tenant_reserved_bytes);
         // A floods far past capacity: every eviction must come out of
         // A's own entries once B is at/below its reserve.
         for i in 0..40 {
-            cache.install_seeds(a, &format!("a-prog-{i}"), &[node(200 + i)], t);
+            cache.install_seeds(a, &format!("a-prog-{i}"), &[node(200 + i)], &fill);
         }
         assert_eq!(cache.owner_bytes(b), b_bytes, "B's working set intact");
         assert!(cache.seeds_of("b-prog-0").is_some());
@@ -879,12 +941,12 @@ mod tests {
         let cache = Arc::new(AncestryCache::new(&sim, cfg));
         cache.attach();
         sim.sleep(Duration::from_secs(1));
-        let t = sim.now();
-        cache.install_seeds(None, "old", &[node(1)], t);
-        cache.install_seeds(None, "hot", &[node(2)], t);
+        let fill = cache.begin_fill();
+        cache.install_seeds(None, "old", &[node(1)], &fill);
+        cache.install_seeds(None, "hot", &[node(2)], &fill);
         // Touch "hot" so "old" is the LRU victim.
         assert!(cache.seeds_of("hot").is_some());
-        cache.install_seeds(None, "new", &[node(3)], t);
+        cache.install_seeds(None, "new", &[node(3)], &fill);
         assert!(cache.seeds_of("old").is_none(), "LRU victim");
         assert!(cache.seeds_of("hot").is_some());
         assert!(cache.seeds_of("new").is_some());

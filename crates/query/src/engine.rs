@@ -28,8 +28,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use cloudprov_cloud::{Actor, CloudEnv, TenantId, UsageReport};
-use cloudprov_core::{CommitEvent, CommitEventSink, ProtocolError, ProvenanceStore};
-use cloudprov_pass::{PNodeId, ProvenanceRecord, Uuid};
+use cloudprov_core::{ProtocolError, ProvenanceStore};
+use cloudprov_pass::{PNodeId, ProvenanceRecord};
 
 use crate::cache::AncestryCache;
 use crate::planner::{
@@ -85,9 +85,6 @@ pub struct QueryEngine {
     /// Shared with pinned views ([`QueryEngine::with_plan_ref`]): a
     /// measurement taken through any view feeds every view's planner.
     history: Arc<Mutex<PlanHistory>>,
-    /// Change-feed invalidations accumulated through
-    /// [`QueryEngine::invalidation_sink`]; shared across pinned views.
-    invalidations: Arc<Mutex<Invalidations>>,
     /// The shared read-tier cache, when attached
     /// ([`QueryEngine::with_cache`]); the planner offers `Plan::Cached`
     /// only while it is usable.
@@ -96,30 +93,6 @@ pub struct QueryEngine {
     /// ([`QueryEngine::with_tenant`]); also the quota owner of cache
     /// entries this engine hydrates.
     tenant: Option<TenantId>,
-}
-
-/// What the change feed has invalidated since the last drain: the keys a
-/// result cache layered over this engine would evict. The
-/// [`AncestryCache`] consumes the same events directly (with sequence
-/// accounting); this accumulator remains so consumers and tests can
-/// observe raw commit-to-invalidation flow.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Invalidations {
-    /// Object uuids whose lineage grew (invalidates Q.1/Q.2 answers
-    /// touching them and any ancestry walk through them).
-    pub uuids: std::collections::BTreeSet<Uuid>,
-    /// Program names with new process nodes (invalidates Q.3/Q.4
-    /// answers seeded by them).
-    pub programs: std::collections::BTreeSet<String>,
-    /// Feed events consumed since the last drain.
-    pub events: u64,
-}
-
-impl Invalidations {
-    /// True when nothing was invalidated.
-    pub fn is_empty(&self) -> bool {
-        self.uuids.is_empty() && self.programs.is_empty()
-    }
 }
 
 impl std::fmt::Debug for QueryEngine {
@@ -152,7 +125,6 @@ impl QueryEngine {
             in_batch: 20,
             force: None,
             history: Arc::new(Mutex::new(PlanHistory::default())),
-            invalidations: Arc::new(Mutex::new(Invalidations::default())),
             cache: None,
             tenant: None,
         }
@@ -174,32 +146,6 @@ impl QueryEngine {
         self.env = self.env.for_tenant(tenant);
         self.tenant = Some(tenant);
         self
-    }
-
-    /// A [`CommitEventSink`] recording which uuids and programs each
-    /// committed transaction touched — wire it to a commit daemon (or a
-    /// subscription registry) to keep the engine informed of provenance
-    /// growth. Accumulated edits drain through
-    /// [`QueryEngine::take_invalidations`].
-    pub fn invalidation_sink(&self) -> CommitEventSink {
-        let inv = self.invalidations.clone();
-        Arc::new(move |event: CommitEvent| {
-            let mut inv = inv.lock();
-            inv.events += 1;
-            inv.uuids.extend(event.uuids.iter().copied());
-            inv.programs.extend(event.programs.iter().cloned());
-        })
-    }
-
-    /// Drains and returns everything the feed invalidated since the
-    /// last call.
-    pub fn take_invalidations(&self) -> Invalidations {
-        std::mem::take(&mut self.invalidations.lock())
-    }
-
-    /// Feed events consumed since the last drain.
-    pub fn pending_invalidations(&self) -> u64 {
-        self.invalidations.lock().events
     }
 
     /// Parallel connections for [`Mode::Parallel`] (the paper's query
@@ -243,7 +189,6 @@ impl QueryEngine {
             in_batch: self.in_batch,
             force: Some(plan),
             history: self.history.clone(),
-            invalidations: self.invalidations.clone(),
             cache: self.cache.clone(),
             tenant: self.tenant,
         }
@@ -575,7 +520,7 @@ impl QueryEngine {
         }
         let idx = self.index_source();
         let seeds = self.cached_seeds(cache, &idx, program, mode)?;
-        let t0 = self.env.sim().now();
+        let fill = cache.begin_fill();
         let adj = idx.adjacency()?;
         let mut nodes: BTreeSet<PNodeId> = BTreeSet::new();
         for p in &seeds {
@@ -585,7 +530,7 @@ impl QueryEngine {
                 }
             }
         }
-        cache.install_adjacency(self.tenant, &adj, &seeds, t0);
+        cache.install_adjacency(self.tenant, &adj, &seeds, &fill);
         Ok((
             OutputSet {
                 nodes: nodes.into_iter().collect(),
@@ -606,12 +551,12 @@ impl QueryEngine {
         }
         let idx = self.index_source();
         let seeds = self.cached_seeds(cache, &idx, program, mode)?;
-        let t0 = self.env.sim().now();
+        let fill = cache.begin_fill();
         let adj = idx.adjacency()?;
         let nodes = local::walk(&seeds, |n| adj.out.get(&n).cloned().unwrap_or_default());
         let mut touched = seeds.clone();
         touched.extend(nodes.iter().copied());
-        cache.install_adjacency(self.tenant, &adj, &touched, t0);
+        cache.install_adjacency(self.tenant, &adj, &touched, &fill);
         Ok((nodes, CacheOutcome::Miss))
     }
 
@@ -627,9 +572,9 @@ impl QueryEngine {
         if let Some(seeds) = cache.seeds_of(program) {
             return Ok(seeds);
         }
-        let t0 = self.env.sim().now();
+        let fill = cache.begin_fill();
         let seeds = idx.processes_named(program, mode)?;
-        cache.install_seeds(self.tenant, program, &seeds, t0);
+        cache.install_seeds(self.tenant, program, &seeds, &fill);
         Ok(seeds)
     }
 
@@ -663,9 +608,9 @@ mod tests {
     use super::*;
     use crate::client::ProvenanceQueries;
     use cloudprov_cloud::AwsProfile;
-    use cloudprov_core::{Protocol, ProvenanceClient};
+    use cloudprov_core::{CommitEvent, Protocol, ProvenanceClient};
     use cloudprov_fs::{LocalIoParams, PaS3fs};
-    use cloudprov_pass::{Pid, ProcessInfo};
+    use cloudprov_pass::{Pid, ProcessInfo, Uuid};
     use cloudprov_sim::Sim;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -1106,47 +1051,5 @@ mod tests {
         let rewarm = engine.q4_descendants_of("root", Mode::Sequential).unwrap();
         assert_eq!(rewarm.plan.cache, Some(CacheOutcome::Hit));
         assert_eq!(rewarm.nodes, vec![child]);
-    }
-
-    #[test]
-    fn invalidation_sink_tracks_feed_events_end_to_end() {
-        use cloudprov_core::{FlushBatch, FlushObject, ProtocolConfig, StorageProtocol, P3};
-        use cloudprov_pass::{Attr, FlushNode, NodeKind, ProvenanceRecord};
-
-        let sim = Sim::new();
-        let env = CloudEnv::new(&sim, AwsProfile::instant());
-        let cfg = ProtocolConfig {
-            feed: true,
-            ..ProtocolConfig::default()
-        };
-        let p3 = P3::new(&env, cfg, "wal-inval");
-        let proc_id = cloudprov_pass::PNodeId::initial(Uuid(500));
-        let proc = FlushObject::provenance_only(FlushNode {
-            id: proc_id,
-            kind: NodeKind::Process,
-            name: Some("refresher".into()),
-            records: vec![
-                ProvenanceRecord::new(proc_id, Attr::Type, "process"),
-                ProvenanceRecord::new(proc_id, Attr::Name, "refresher"),
-            ],
-            data_hash: None,
-        });
-        p3.flush(FlushBatch {
-            objects: vec![proc],
-        })
-        .unwrap();
-
-        let engine = QueryEngine::new(&env, p3.provenance_store().unwrap(), "data");
-        assert_eq!(engine.pending_invalidations(), 0);
-        let daemon = p3.commit_daemon();
-        daemon.set_event_sink(engine.invalidation_sink());
-        daemon.run_until_idle().unwrap();
-
-        assert_eq!(engine.pending_invalidations(), 1);
-        let inv = engine.take_invalidations();
-        assert!(inv.uuids.contains(&Uuid(500)));
-        assert!(inv.programs.contains("refresher"));
-        // Drained: the next read starts clean.
-        assert!(engine.take_invalidations().is_empty());
     }
 }

@@ -31,6 +31,6 @@ pub mod source;
 
 pub use cache::{AncestryCache, CacheConfig, CacheStats};
 pub use client::ProvenanceQueries;
-pub use engine::{Invalidations, QueryEngine, QueryMetrics, QueryOutput};
+pub use engine::{QueryEngine, QueryMetrics, QueryOutput};
 pub use planner::{CacheOutcome, CacheState, DomainStats, Plan, PlanReport, QueryKind};
 pub use source::{GraphSource, IndexSource, Mode, OutputSet, S3ScanSource, SdbSelectSource};

@@ -4,11 +4,12 @@
 //! A [`Tracer`] hands out [`SpanContext`]s and collects [`SpanRecord`]s
 //! stamped exclusively with [`SimTime`] instants, so traces are a pure
 //! function of the run's seed — bit-identical across replays, diffable
-//! as regression artifacts. Contexts propagate through the system's
-//! existing seams (client flush → WAL header attribute → daemon pickup
-//! → group-commit phases → feed publish); every committed transaction
-//! yields ONE connected tree rooted at a `txn` span whose duration IS
-//! the measured commit latency (WAL-durable → committed).
+//! as regression artifacts. A transaction's trace id is its txn id, so
+//! every seam (client flush → daemon pickup → group-commit phases →
+//! feed publish) finds the root by that id in the one tracer a cloud
+//! environment shares. Every committed transaction yields ONE connected
+//! tree rooted at a `txn` span whose duration IS the measured commit
+//! latency (WAL-durable → committed).
 //!
 //! The per-transaction lifecycle spans are not emitted eagerly: the
 //! client records the WAL-durable instant, daemons record pickup /
@@ -48,31 +49,12 @@ const SPAN_CAP: usize = 1 << 20;
 
 /// A propagatable reference to a span: the trace it belongs to (for
 /// committed transactions this is the transaction id) and the span id.
-/// `encode`/`decode` round-trip through a WAL-header-safe token.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SpanContext {
     /// Trace id (the transaction id for txn lifecycle traces).
     pub trace: u128,
     /// Span id within the tracer.
     pub span: u64,
-}
-
-impl SpanContext {
-    /// Token form (`ctx:<trace-hex>.<span-hex>`) safe to ride a
-    /// tab-separated WAL header field.
-    pub fn encode(&self) -> String {
-        format!("ctx:{:032x}.{:016x}", self.trace, self.span)
-    }
-
-    /// Parses a token produced by [`SpanContext::encode`].
-    pub fn decode(token: &str) -> Option<SpanContext> {
-        let rest = token.strip_prefix("ctx:")?;
-        let (t, s) = rest.split_once('.')?;
-        Some(SpanContext {
-            trace: u128::from_str_radix(t, 16).ok()?,
-            span: u64::from_str_radix(s, 16).ok()?,
-        })
-    }
 }
 
 /// One completed span.
@@ -309,7 +291,7 @@ impl Tracer {
 
     /// Allocates a span id in `trace` without emitting anything —
     /// for spans whose end is not yet known but whose id must already
-    /// parent children (phase scopes, WAL-header contexts).
+    /// parent children (phase scopes).
     pub fn alloc(&self, trace: u128) -> SpanContext {
         if !self.enabled() {
             return SpanContext { trace, span: 0 };
@@ -474,26 +456,6 @@ impl Tracer {
             },
         );
         Some(SpanContext { trace: txn, span })
-    }
-
-    /// Registers a root carried in from a WAL header whose opener is
-    /// not this tracer (cross-process pickup). No-op when the trace is
-    /// already known — in-process fleets share one tracer, so the
-    /// client's registration wins.
-    pub fn register_root(&self, ctx: SpanContext, tenant: Option<u32>) {
-        if !self.enabled() {
-            return;
-        }
-        let mut st = self.inner.state.lock();
-        st.roots.entry(ctx.trace).or_insert(RootState {
-            span: ctx.span,
-            tenant,
-            logged: None,
-            pickup: None,
-            group_start: None,
-            committed: None,
-            finalized: false,
-        });
     }
 
     /// The root context of `txn`, if opened.
@@ -805,20 +767,6 @@ mod tests {
         tr.close_txn(1, t(9));
         assert_eq!(tr.stats(), TraceStats::default());
         assert!(tr.critical_path(1).is_none());
-    }
-
-    #[test]
-    fn context_token_round_trips() {
-        let ctx = SpanContext {
-            trace: 0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233,
-            span: 42,
-        };
-        let tok = ctx.encode();
-        assert!(tok.starts_with("ctx:"));
-        assert!(!tok.contains('\t'), "token must be header-field safe");
-        assert_eq!(SpanContext::decode(&tok), Some(ctx));
-        assert_eq!(SpanContext::decode("ctx:nothex.42"), None);
-        assert_eq!(SpanContext::decode("garbage"), None);
     }
 
     #[test]
