@@ -16,10 +16,12 @@
 //!
 //! 1. **Stage** (`p3:notify:stage`) — before any WAL receipt of the group
 //!    is acknowledged, the group's events are written to the feed domain
-//!    under monotonically increasing per-stream sequence numbers. A crash
-//!    here leaves the WAL unacknowledged: the transactions redeliver and
-//!    restage under fresh sequence numbers (a duplicate event per
-//!    transaction, never a gap).
+//!    under monotonically increasing per-stream sequence numbers, packed
+//!    into as few items as the 256-pair limit allows and sent in one
+//!    all-or-nothing `BatchPutAttributes` call. A crash here leaves the
+//!    WAL unacknowledged: the transactions redeliver and restage under
+//!    fresh sequence numbers (a duplicate event per transaction, never a
+//!    gap).
 //! 2. **Ack** — the group's WAL receipts acknowledge (existing phase 5).
 //! 3. **Publish** (`p3:notify:publish`) — every staged-but-unpublished
 //!    event (anything above the stream's watermark, including events a
@@ -33,12 +35,13 @@
 //! the next sequence number and the pending backlog from the feed domain
 //! on first use, so at-least-once delivery survives failover.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use cloudprov_cloud::{
-    quote_like_prefix, Actor, CloudEnv, Database, PutItem, TenantId, BATCH_LIMIT,
+    quote_like_prefix, Actor, CloudEnv, Database, PutItem, TenantId, BATCH_LIMIT, ITEM_ATTR_LIMIT,
 };
 use cloudprov_pass::{Attr, NodeKind, ProvenanceRecord, Uuid};
 
@@ -78,13 +81,82 @@ pub fn feed_domain(domain: &str) -> String {
 const EVT_PREFIX: &str = "evt_";
 /// Item-name prefix of per-stream watermark items.
 const WM_PREFIX: &str = "wm_";
+/// Attribute pairs one staging call can carry: 25 full items.
+const CALL_PAIRS: usize = BATCH_LIMIT * ITEM_ATTR_LIMIT;
 
-/// Item name of the staged event `seq` of `stream`. The zero-padded
-/// sequence keeps lexicographic item order equal to numeric order, and
-/// the transaction id suffix keeps restaged duplicates (same transaction,
-/// fresh sequence after a crash) from colliding.
-fn event_item_name(stream: &str, seq: u64, txn: Uuid) -> String {
-    format!("{EVT_PREFIX}{stream}~{seq:012}~{txn}")
+/// Item name of part `part` of the group staged from `first_seq` on,
+/// whose first event is transaction `first_txn`. The zero-padded numbers
+/// keep lexicographic item order equal to staging order. The transaction
+/// makes the name unique per staging attempt: a sequence staged twice
+/// (by two daemons serving one shard) lands in two items, never merged
+/// into one, so [`audit_feed`] still counts the duplicate.
+fn event_item_name(stream: &str, first_seq: u64, first_txn: Uuid, part: usize) -> String {
+    format!("{EVT_PREFIX}{stream}~{first_seq:012}~{first_txn}~{part:03}")
+}
+
+/// The attribute pairs of one staged event, each named
+/// `{seq:012}:{field}` so events can share items: `txn` first, then
+/// `tenant`, one `uuid` per touched uuid and one `prog` per program.
+fn event_pairs(ev: &CommitEvent) -> Vec<(String, String)> {
+    let name = |field: &str| format!("{:012}:{field}", ev.seq);
+    let mut pairs = vec![(name("txn"), ev.txn.to_string())];
+    if let Some(tenant) = ev.tenant {
+        pairs.push((name("tenant"), tenant.0.to_string()));
+    }
+    pairs.extend(ev.uuids.iter().map(|u| (name("uuid"), u.to_string())));
+    pairs.extend(ev.programs.iter().map(|p| (name("prog"), p.clone())));
+    pairs
+}
+
+/// Parses one stream's staged items back into events, keyed by sequence,
+/// each with every transaction staged under that sequence (more than one
+/// means the sequence was staged twice). Items are read in name
+/// order so an event spanning items keeps its uuid order; a sequence
+/// without a `txn` attribute is not an event.
+fn parse_events<'a>(
+    stream: &str,
+    items: impl IntoIterator<Item = (&'a str, &'a [(String, String)])>,
+) -> BTreeMap<u64, (CommitEvent, Vec<Uuid>)> {
+    let prefix = format!("{EVT_PREFIX}{stream}~");
+    let mut items: Vec<_> = items
+        .into_iter()
+        .filter(|(name, _)| name.starts_with(&prefix))
+        .collect();
+    items.sort_by_key(|(name, _)| *name);
+    let mut events: BTreeMap<u64, (CommitEvent, Vec<Uuid>)> = BTreeMap::new();
+    for (k, v) in items.into_iter().flat_map(|(_, attrs)| attrs) {
+        let Some((seq, field)) = k.split_once(':') else {
+            continue;
+        };
+        let Ok(seq) = seq.parse::<u64>() else {
+            continue;
+        };
+        let (ev, txns) = events.entry(seq).or_insert_with(|| {
+            let ev = CommitEvent {
+                stream: stream.to_string(),
+                seq,
+                txn: Uuid(0),
+                tenant: None,
+                uuids: Vec::new(),
+                programs: Vec::new(),
+            };
+            (ev, Vec::new())
+        });
+        match field {
+            "txn" => {
+                if let Ok(txn) = v.parse() {
+                    ev.txn = txn;
+                    txns.push(txn);
+                }
+            }
+            "tenant" => ev.tenant = v.parse().ok().map(TenantId),
+            "uuid" => ev.uuids.extend(v.parse::<Uuid>().ok()),
+            "prog" => ev.programs.push(v.clone()),
+            _ => {}
+        }
+    }
+    events.retain(|_, (_, txns)| !txns.is_empty());
+    events
 }
 
 /// Extracts the uuids and program names a record set touches — the same
@@ -225,45 +297,19 @@ impl FeedWriter {
         let staged = retry(self.env.sim(), self.config.retries, || {
             sdb.select_all(&expr)
         })?;
-        let mut max_seq = watermark;
-        let mut pending: Vec<CommitEvent> = Vec::new();
-        for item in staged {
-            let Some(rest) = item.name.strip_prefix(&prefix) else {
-                continue;
-            };
-            let Some((seq_txt, txn_txt)) = rest.split_once('~') else {
-                continue;
-            };
-            let (Ok(seq), Ok(txn)) = (seq_txt.parse::<u64>(), txn_txt.parse::<Uuid>()) else {
-                continue;
-            };
-            max_seq = max_seq.max(seq);
-            if seq <= watermark {
-                continue;
-            }
-            let mut ev = CommitEvent {
-                stream: self.stream.clone(),
-                seq,
-                txn,
-                tenant: None,
-                uuids: Vec::new(),
-                programs: Vec::new(),
-            };
-            for (k, v) in &item.attrs {
-                match k.as_str() {
-                    "tenant" => ev.tenant = v.parse().ok().map(TenantId),
-                    "uuid" => {
-                        if let Ok(u) = v.parse() {
-                            ev.uuids.push(u);
-                        }
-                    }
-                    "prog" => ev.programs.push(v.clone()),
-                    _ => {}
-                }
-            }
-            pending.push(ev);
-        }
-        pending.sort_by_key(|e| e.seq);
+        let events = parse_events(
+            &self.stream,
+            staged.iter().map(|i| (i.name.as_str(), i.attrs.as_slice())),
+        );
+        let max_seq = events
+            .last_key_value()
+            .map_or(0, |(&s, _)| s)
+            .max(watermark);
+        let pending = events
+            .into_values()
+            .map(|(ev, _)| ev)
+            .filter(|ev| ev.seq > watermark)
+            .collect();
         Ok(WriterState {
             next_seq: max_seq + 1,
             watermark,
@@ -283,51 +329,92 @@ impl FeedWriter {
     /// Must run **before** the group's WAL acknowledgement (crash point
     /// `p3:notify:stage`): a crash after staging redelivers and restages
     /// the transactions as duplicates, never losing them.
+    ///
+    /// The events pack into as few items as the 256-pair limit allows
+    /// (`event_pairs`) and go out in one `BatchPutAttributes` call,
+    /// which applies all-or-nothing: the group's sequence range is staged
+    /// whole or not at all, so no failure can leave a hole below a later
+    /// staged sequence. A group beyond one call's 6 400 pairs stages in
+    /// several calls, in sequence order and split between events where
+    /// an event fits a call, so a failure leaves a staged prefix.
+    ///
+    /// `next_seq` and the pending backlog advance over an event only once
+    /// the call carrying its `txn` attribute has landed, so a failed
+    /// stage burns no sequence numbers and the writer never hands out a
+    /// sequence it already staged.
     pub fn stage(&self, touches: &[StagedTouches]) -> Result<Vec<CommitEvent>> {
         if touches.is_empty() {
             return Ok(Vec::new());
         }
         self.with_state(|st| {
-            let domain = feed_domain(&self.config.layout.domain);
-            let mut events = Vec::with_capacity(touches.len());
-            let mut items = Vec::with_capacity(touches.len());
-            for t in touches {
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                let mut attrs: Vec<(String, String)> = vec![("txn".into(), t.txn.to_string())];
-                if let Some(tenant) = t.tenant {
-                    attrs.push(("tenant".into(), tenant.0.to_string()));
-                }
-                for u in &t.uuids {
-                    attrs.push(("uuid".into(), u.to_string()));
-                }
-                for p in &t.programs {
-                    attrs.push(("prog".into(), p.clone()));
-                }
-                items.push(PutItem {
-                    name: event_item_name(&self.stream, seq, t.txn),
-                    attrs,
-                    replace: false,
-                });
-                events.push(CommitEvent {
+            let events: Vec<CommitEvent> = touches
+                .iter()
+                .zip(st.next_seq..)
+                .map(|(t, seq)| CommitEvent {
                     stream: self.stream.clone(),
                     seq,
                     txn: t.txn,
                     tenant: t.tenant,
                     uuids: t.uuids.clone(),
                     programs: t.programs.clone(),
-                });
-            }
+                })
+                .collect();
+            let domain = feed_domain(&self.config.layout.domain);
             let sdb = self.sdb();
-            for chunk in items.chunks(BATCH_LIMIT) {
+            let mut landed = 0;
+            for (items, starts) in self.stage_calls(&events) {
                 self.config.step("p3:notify:stage")?;
                 retry(self.env.sim(), self.config.retries, || {
-                    sdb.batch_put_attributes(&domain, chunk.to_vec())
+                    sdb.batch_put_attributes(&domain, items.clone())
                 })?;
+                let staged = &events[landed..landed + starts];
+                st.next_seq += starts as u64;
+                st.pending.extend(staged.iter().cloned());
+                landed += starts;
             }
-            st.pending.extend(events.iter().cloned());
             Ok(events)
         })
+    }
+
+    /// Splits a group's events into staging calls, each with the number
+    /// of events whose `txn` attribute it carries. Whole events fill
+    /// calls of up to [`CALL_PAIRS`] pairs and each call's pairs fill
+    /// items of up to 256. Item names share the group's first sequence
+    /// and transaction, with part numbers that continue across calls.
+    /// Only an event too wide for one call spans calls (of 25 items).
+    fn stage_calls(&self, events: &[CommitEvent]) -> Vec<(Vec<PutItem>, usize)> {
+        let mut groups: Vec<(Vec<(String, String)>, usize)> = Vec::new();
+        for ev in events {
+            let pairs = event_pairs(ev);
+            match groups.last_mut() {
+                Some((call, n)) if call.len() + pairs.len() <= CALL_PAIRS => {
+                    call.extend(pairs);
+                    *n += 1;
+                }
+                _ => groups.push((pairs, 1)),
+            }
+        }
+        let (first_seq, first_txn) = (events[0].seq, events[0].txn);
+        let mut part = 0;
+        let mut calls = Vec::new();
+        for (pairs, n) in groups {
+            let items: Vec<PutItem> = pairs
+                .chunks(ITEM_ATTR_LIMIT)
+                .map(|attrs| {
+                    let name = event_item_name(&self.stream, first_seq, first_txn, part);
+                    part += 1;
+                    PutItem {
+                        name,
+                        attrs: attrs.to_vec(),
+                        replace: false,
+                    }
+                })
+                .collect();
+            for (i, batch) in items.chunks(BATCH_LIMIT).enumerate() {
+                calls.push((batch.to_vec(), if i == 0 { n } else { 0 }));
+            }
+        }
+        calls
     }
 
     /// Publishes every staged-but-unpublished event to `sink` in
@@ -403,7 +490,7 @@ impl FeedWriter {
 /// What [`audit_feed`] found in one stream's durable staging state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FeedAudit {
-    /// Staged event items for the stream.
+    /// Staged events for the stream (one per `txn` attribute).
     pub events: usize,
     /// Distinct transactions among them (crash restaging duplicates a
     /// transaction under a fresh sequence — allowed).
@@ -412,11 +499,12 @@ pub struct FeedAudit {
     pub max_seq: u64,
     /// The stream's durable watermark (0 when never flushed).
     pub watermark: u64,
-    /// Sequence numbers in `1..=max_seq` with no staged item — must be
-    /// 0: staging allocates contiguously and never deletes.
+    /// Sequence numbers in `1..=max_seq` with no staged event — must be
+    /// 0: staging allocates contiguously, stages each group in one
+    /// all-or-nothing call, and never deletes.
     pub seq_gaps: u64,
     /// Sequence numbers staged more than once — must be 0: a sequence
-    /// is allocated to exactly one event item.
+    /// is allocated to exactly one event.
     pub duplicate_seqs: u64,
     /// Distinct transactions among the staged events.
     pub txns: std::collections::BTreeSet<Uuid>,
@@ -436,44 +524,38 @@ impl FeedAudit {
 /// bypass metering and consistency: this is the invariant checker the
 /// chaos explorer and the fleet harness call, not a consumer path.
 pub fn audit_feed(env: &CloudEnv, domain: &str, stream: &str) -> FeedAudit {
-    let prefix = format!("{EVT_PREFIX}{stream}~");
     let wm_item = format!("{WM_PREFIX}{stream}");
+    let items = env.sdb().peek_items(&feed_domain(domain));
     let mut audit = FeedAudit::default();
-    let mut seqs: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    for (name, attrs) in env.sdb().peek_items(&feed_domain(domain)) {
-        if name == wm_item {
-            audit.watermark = attrs
-                .iter()
-                .find(|(k, _)| k == "seq")
-                .and_then(|(_, v)| v.parse().ok())
-                .unwrap_or(0);
-            continue;
-        }
-        let Some(rest) = name.strip_prefix(&prefix) else {
-            continue;
-        };
-        let Some((seq_txt, txn_txt)) = rest.split_once('~') else {
-            continue;
-        };
-        let (Ok(seq), Ok(txn)) = (seq_txt.parse::<u64>(), txn_txt.parse::<Uuid>()) else {
-            continue;
-        };
-        audit.events += 1;
-        if !seqs.insert(seq) {
-            audit.duplicate_seqs += 1;
-        }
+    if let Some((_, attrs)) = items.iter().find(|(name, _)| *name == wm_item) {
+        audit.watermark = attrs
+            .iter()
+            .find(|(k, _)| k == "seq")
+            .and_then(|(_, v)| v.parse().ok())
+            .unwrap_or(0);
+    }
+    let events = parse_events(
+        stream,
+        items
+            .iter()
+            .map(|(name, attrs)| (name.as_str(), attrs.as_slice())),
+    );
+    for (&seq, (_, txns)) in &events {
+        audit.events += txns.len();
+        audit.duplicate_seqs += txns.len() as u64 - 1;
         audit.max_seq = audit.max_seq.max(seq);
-        audit.txns.insert(txn);
+        audit.txns.extend(txns);
     }
     audit.distinct_txns = audit.txns.len();
-    audit.seq_gaps = audit.max_seq - seqs.len() as u64;
+    audit.seq_gaps = audit.max_seq - events.len() as u64;
     audit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudprov_cloud::AwsProfile;
+    use crate::protocol::StepHook;
+    use cloudprov_cloud::{AwsProfile, ConsistencyParams, FaultPlan, Op, Service};
     use cloudprov_pass::PNodeId;
     use cloudprov_sim::Sim;
 
@@ -551,6 +633,230 @@ mod tests {
         b.flush(Some(&sink)).unwrap();
         let seqs: Vec<u64> = seen.lock().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2], "published event is not replayed");
+    }
+
+    #[test]
+    fn failed_stage_does_not_burn_sequences() {
+        // Retries run out while staging, but the daemon survives: the
+        // restage must reuse the sequences the failed call never wrote.
+        let (_sim, env) = setup();
+        let config = ProtocolConfig::default();
+        let w = FeedWriter::new(&env, config.clone(), "wal-a");
+        assert_eq!(w.flush(None).unwrap(), 0, "recovers an empty stream");
+        env.faults().set(FaultPlan {
+            fail_probability: 1.0,
+            ..FaultPlan::none()
+        });
+        assert!(w.stage(&[touches(1, 10), touches(2, 20)]).is_err());
+        env.faults().clear();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        let sink: CommitEventSink = Arc::new(move |e: CommitEvent| seen2.lock().push(e));
+        w.stage(&[touches(1, 10), touches(2, 20)]).unwrap();
+        w.flush(Some(&sink)).unwrap();
+        let seqs: Vec<u64> = seen.lock().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2]);
+        let audit = audit_feed(&env, &config.layout.domain, "wal-a");
+        assert_eq!(audit.seq_gaps, 0);
+        assert_eq!(audit.duplicate_seqs, 0);
+    }
+
+    #[test]
+    fn wide_event_survives_takeover() {
+        // 300 uuids and a program exceed one item's 256 pairs; the
+        // takeover writer must still recover every one of them, or a
+        // cache that invalidates by uuid misses keys.
+        let (_sim, env) = setup();
+        let wide = StagedTouches {
+            uuids: (100..400).map(Uuid).collect(),
+            ..touches(1, 0)
+        };
+        let a = FeedWriter::new(&env, ProtocolConfig::default(), "wal-a");
+        a.stage(&[wide.clone(), touches(2, 20)]).unwrap();
+        drop(a);
+
+        let b = FeedWriter::new(&env, ProtocolConfig::default(), "wal-a");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        let sink: CommitEventSink = Arc::new(move |e: CommitEvent| seen2.lock().push(e));
+        assert_eq!(b.flush(Some(&sink)).unwrap(), 2);
+        let got = seen.lock().clone();
+        assert_eq!(got[0].txn, Uuid(1));
+        assert_eq!(got[0].tenant, Some(TenantId(7)));
+        assert_eq!(got[0].uuids.len(), 300, "no uuid lost to the item limit");
+        assert!(got[0].uuids == wide.uuids, "uuids keep their order");
+        assert_eq!(got[0].programs, vec!["prog".to_string()]);
+        assert_eq!(got[1].seq, 2);
+        assert_eq!(got[1].uuids, vec![Uuid(20)]);
+    }
+
+    #[test]
+    fn group_stages_in_one_call_of_packed_items() {
+        let (_sim, env) = setup();
+        let config = ProtocolConfig::default();
+        let w = FeedWriter::new(&env, config.clone(), "wal-a");
+        w.flush(None).unwrap();
+        let puts = || {
+            env.usage()
+                .get(Actor::CommitDaemon, Service::Database, Op::DbPut)
+                .count
+        };
+        let before = puts();
+        let group: Vec<StagedTouches> = (1..=40).map(|t| touches(t, t + 100)).collect();
+        w.stage(&group).unwrap();
+        assert_eq!(puts() - before, 1, "one BatchPutAttributes per group");
+        let items = env.sdb().peek_items(&feed_domain(&config.layout.domain));
+        assert_eq!(items.len(), 1, "160 pairs fit one item");
+        assert_eq!(items[0].0, event_item_name("wal-a", 1, Uuid(1), 0));
+        let a = audit_feed(&env, &config.layout.domain, "wal-a");
+        assert_eq!((a.events, a.max_seq, a.seq_gaps), (40, 40, 0));
+    }
+
+    #[test]
+    fn failed_stage_after_a_landed_one_reuses_no_sequence() {
+        // Replicas lag by up to 12 s, so a writer that re-read its state
+        // from the feed domain right after a failed stage could miss the
+        // group staged just before and hand its sequence out again.
+        let sim = Sim::new();
+        let mut profile = AwsProfile::instant();
+        profile.consistency = ConsistencyParams::eventual(std::time::Duration::from_secs(12));
+        let env = CloudEnv::new(&sim, profile);
+        let config = ProtocolConfig::default();
+        let w = FeedWriter::new(&env, config.clone(), "wal-a");
+        let mut seqs = Vec::new();
+        for txn in (1..=20).step_by(2) {
+            let staged = w.stage(&[touches(txn, 10)]).unwrap();
+            seqs.extend(staged.iter().map(|e| e.seq));
+            env.faults().set(FaultPlan {
+                fail_probability: 1.0,
+                ..FaultPlan::none()
+            });
+            assert!(w.stage(&[touches(txn + 1, 20)]).is_err());
+            env.faults().clear();
+        }
+        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
+        let audit = audit_feed(&env, &config.layout.domain, "wal-a");
+        assert_eq!(
+            (audit.events, audit.seq_gaps, audit.duplicate_seqs),
+            (10, 0, 0)
+        );
+    }
+
+    #[test]
+    fn group_beyond_one_call_stages_in_order_and_keeps_a_landed_prefix() {
+        // 30 events of 253 pairs: 25 fill the first call (6 325 pairs in
+        // 25 items), the last 5 go out in a second call.
+        let wide = |txn: u128| StagedTouches {
+            uuids: (0..250).map(|u| Uuid(txn * 1000 + u)).collect(),
+            ..touches(txn, 0)
+        };
+        let group: Vec<StagedTouches> = (1..=30).map(wide).collect();
+        let publish = |w: &FeedWriter| {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let seen2 = seen.clone();
+            let sink: CommitEventSink = Arc::new(move |e: CommitEvent| seen2.lock().push(e));
+            w.flush(Some(&sink)).unwrap();
+            let got = seen.lock().clone();
+            got
+        };
+        let config = ProtocolConfig::default();
+
+        let (_sim, env) = setup();
+        let w = FeedWriter::new(&env, config.clone(), "wal-a");
+        w.flush(None).unwrap();
+        let puts = || {
+            env.usage()
+                .get(Actor::CommitDaemon, Service::Database, Op::DbPut)
+                .count
+        };
+        let before = puts();
+        w.stage(&group).unwrap();
+        assert_eq!(puts() - before, 2, "two calls");
+        let mut names: Vec<String> = env
+            .sdb()
+            .peek_items(&feed_domain(&config.layout.domain))
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with(EVT_PREFIX))
+            .collect();
+        names.sort();
+        let want: Vec<String> = (0..30)
+            .map(|part| event_item_name("wal-a", 1, Uuid(1), part))
+            .collect();
+        assert_eq!(names, want, "part numbers continue across calls");
+        let a = audit_feed(&env, &config.layout.domain, "wal-a");
+        assert_eq!(
+            (a.events, a.max_seq, a.seq_gaps, a.duplicate_seqs),
+            (30, 30, 0, 0)
+        );
+        drop(w);
+        let got = publish(&FeedWriter::new(&env, config.clone(), "wal-a"));
+        assert_eq!(got.len(), 30);
+        for (i, (ev, t)) in got.iter().zip(&group).enumerate() {
+            assert_eq!((ev.seq, ev.txn), (i as u64 + 1, t.txn));
+            assert!(
+                ev.uuids == t.uuids,
+                "event {} keeps every uuid in order",
+                ev.seq
+            );
+        }
+
+        // The second call fails: exactly the first call's 25 events stay
+        // staged, and the surviving writer reuses none of their sequences.
+        let (_sim, env) = setup();
+        let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let fail_second: StepHook = Arc::new(move |step: &str| {
+            step != "p3:notify:stage"
+                || calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) != 1
+        });
+        let faulty = ProtocolConfig {
+            step_hook: Some(fail_second),
+            ..config.clone()
+        };
+        let w = FeedWriter::new(&env, faulty, "wal-a");
+        assert!(w.stage(&group).is_err());
+        let a = audit_feed(&env, &config.layout.domain, "wal-a");
+        assert_eq!((a.events, a.max_seq, a.seq_gaps), (25, 25, 0));
+        let got = publish(&FeedWriter::new(&env, config.clone(), "wal-a"));
+        let txns: Vec<Uuid> = got.iter().map(|e| e.txn).collect();
+        assert_eq!(txns, (1..=25).map(Uuid).collect::<Vec<_>>());
+        assert!(got.iter().zip(&group).all(|(e, t)| e.uuids == t.uuids));
+        let restaged = w.stage(&group).unwrap();
+        assert_eq!(restaged[0].seq, 26, "the landed prefix keeps its sequences");
+        let a = audit_feed(&env, &config.layout.domain, "wal-a");
+        assert_eq!((a.events, a.seq_gaps, a.duplicate_seqs), (55, 0, 0));
+    }
+
+    #[test]
+    fn one_sequence_staged_by_two_writers_keeps_both_attempts() {
+        // Two daemons serving one shard both recover an empty stream and
+        // stage sequence 1 with a full first item. Each attempt keeps its
+        // own items, so no pair is lost to a merge: the audit counts the
+        // duplicate and a takeover recovers every uuid of both.
+        let (_sim, env) = setup();
+        let config = ProtocolConfig::default();
+        let wide = |txn: u128| StagedTouches {
+            uuids: (0..300).map(|u| Uuid(txn * 1000 + u)).collect(),
+            ..touches(txn, 0)
+        };
+        let a = FeedWriter::new(&env, config.clone(), "wal-a");
+        let b = FeedWriter::new(&env, config.clone(), "wal-a");
+        a.flush(None).unwrap();
+        b.flush(None).unwrap();
+        assert_eq!(a.stage(&[wide(1)]).unwrap()[0].seq, 1);
+        assert_eq!(b.stage(&[wide(2)]).unwrap()[0].seq, 1);
+        let audit = audit_feed(&env, &config.layout.domain, "wal-a");
+        assert_eq!((audit.events, audit.distinct_txns), (2, 2));
+        assert_eq!(audit.duplicate_seqs, 1);
+        let seen = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
+        let seen2 = seen.clone();
+        let sink: CommitEventSink = Arc::new(move |e: CommitEvent| seen2.lock().extend(e.uuids));
+        FeedWriter::new(&env, config.clone(), "wal-a")
+            .flush(Some(&sink))
+            .unwrap();
+        let want: std::collections::BTreeSet<Uuid> =
+            wide(1).uuids.into_iter().chain(wide(2).uuids).collect();
+        assert!(*seen.lock() == want, "no uuid lost to the item limit");
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //! (stamping the new version — S3 has no rename, and §4.3.3 notes copies
 //! cost $0.01 per thousand); >1 KB values spill to S3; the base and
 //! index `PutItem`s of **all** members pack into full
-//! `BatchPutAttributes` chunks ([`pack_group_writes`]) written over
-//! `db_concurrency` connections; the temp-object deletes fan out; and
-//! the WAL receipts acknowledge through batched `DeleteMessageBatch`
-//! calls. The §3 ordering survives grouping — see the phase ordering in
+//! `BatchPutAttributes` chunks ([`pack_group_writes`]) written over the
+//! same `commit_parallelism` connections; the temp-object deletes fan
+//! out; with the change feed on, the group's events stage in one
+//! all-or-nothing `BatchPutAttributes` call (`crate::feed`); and the WAL
+//! receipts acknowledge through batched `DeleteMessageBatch` calls.
+//! The §3 ordering survives grouping — see the phase ordering in
 //! `commit_group`: every member's data copies land before any member's
 //! provenance items, index chunks write strictly after all base chunks,
 //! and no receipt is acknowledged until every chunk carrying one of its
@@ -850,14 +852,16 @@ impl CommitDaemon {
     ///    its provenance exists anywhere.
     /// 2. **Base items** — all survivors' provenance items pack into
     ///    full `BatchPutAttributes` chunks ([`pack_group_writes`])
-    ///    written over `db_concurrency` connections (crash point
+    ///    written over `commit_parallelism` connections (crash point
     ///    `p3:commit:group:db`, once per chunk).
     /// 3. **Index items** — strictly after *every* base chunk, the
     ///    cross-transaction-merged ancestry-index chunks write the same
     ///    way (`p3:commit:group:index`) — the index never describes
     ///    provenance that is not stored, for any member.
     /// 4. **GC** — survivors' temp objects delete in parallel
-    ///    (`p3:commit:group:gc`).
+    ///    (`p3:commit:group:gc`); then, with the feed on, the group's
+    ///    events stage in one all-or-nothing call
+    ///    (`p3:notify:stage`, see `FeedWriter::stage`).
     /// 5. **Ack** — survivors' WAL receipts acknowledge through
     ///    `DeleteMessageBatch` calls (`p3:commit:group:ack`), strictly
     ///    after phases 2–3: no receipt is acked before every chunk
@@ -1349,7 +1353,7 @@ impl CommitDaemon {
         })
     }
 
-    /// Writes one phase's chunks over `db_concurrency` parallel
+    /// Writes one phase's chunks over the daemon's `commit_parallelism`
     /// connections, checking `step` once per chunk. Returns only when
     /// every chunk is durable — the barrier between the base and index
     /// phases, and between the index phase and the acknowledgements.
@@ -1382,7 +1386,7 @@ impl CommitDaemon {
             .collect();
         self.env
             .sim()
-            .run_parallel(self.config.db_concurrency.max(1), tasks)
+            .run_parallel(self.config.commit_parallelism.max(1), tasks)
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
         Ok(())
@@ -2389,12 +2393,21 @@ mod tests {
         // The p3:notify:stage crash point: the daemon dies before the
         // event stages, so its WAL stays unacknowledged. A takeover
         // daemon recommits and the event arrives exactly once here
-        // (nothing was staged), with a contiguous sequence.
+        // (nothing was staged), with a contiguous sequence. The event
+        // names 301 uuids, so it stages as two items in one call.
         let sim = Sim::new();
         let env = CloudEnv::new(&sim, AwsProfile::instant());
         let p3 = P3::new(&env, feed_cfg(), "wal-cr");
+        let mut file = file_obj(70, 1, "out", "x");
+        for u in 1000..1300 {
+            file.node.records.push(ProvenanceRecord::new(
+                file.node.id,
+                Attr::Input,
+                PNodeId::initial(Uuid(u)),
+            ));
+        }
         p3.flush(FlushBatch {
-            objects: vec![file_obj(70, 1, "out", "x")],
+            objects: vec![file],
         })
         .unwrap();
 
@@ -2415,7 +2428,12 @@ mod tests {
         let evs = events.lock();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].seq, 1, "sequence starts clean — no gap");
+        assert_eq!(evs[0].uuids.len(), 301, "the wide event arrives whole");
         assert!(env.s3().peek_committed("data", "out").is_some());
+        let audit = crate::feed::audit_feed(&env, &feed_cfg().layout.domain, "wal-cr");
+        assert_eq!(audit.events, 1);
+        assert_eq!(audit.seq_gaps, 0);
+        assert_eq!(audit.duplicate_seqs, 0);
     }
 
     #[test]

@@ -187,10 +187,13 @@ pub struct ProtocolConfig {
     /// Items per SimpleDB batch write (≤ the 25-item service limit).
     /// Exposed for the batching ablation.
     pub db_batch: usize,
-    /// Parallel connections for SimpleDB batch calls. Database client
-    /// pools were far smaller than object-store pools in 2009 tooling —
-    /// this is what leaves P2 the slowest protocol in the microbenchmark,
-    /// as the paper observes.
+    /// Parallel connections for the client's SimpleDB batch calls.
+    /// Database client pools were far smaller than object-store pools in
+    /// 2009 tooling — this is what leaves P2 the slowest protocol in the
+    /// microbenchmark, as the paper observes. P3's commit daemon uses it
+    /// only as the width a light group's writes split into
+    /// ([`pack_group_writes`](crate::p3::pack_group_writes)); it sends
+    /// the chunks over `commit_parallelism`.
     pub db_concurrency: usize,
     /// Whether P3's commit daemon maintains the commit-time ancestry
     /// index (`crate::index`) alongside the provenance items. Daemon-side
@@ -205,11 +208,12 @@ pub struct ProtocolConfig {
     /// assume one request per packet.
     pub wal_batch_send: bool,
     /// Parallel connections the P3 commit daemon opens inside one group
-    /// commit: the per-file S3 COPY fan-out, the temp-object GC delete
-    /// fan-out and the batched WAL-acknowledgement fan-out are all
-    /// bounded by this (SimpleDB chunk writes use `db_concurrency`,
-    /// matching the far smaller 2009 database pools). Daemon-side only —
-    /// client op counts and latencies are unchanged.
+    /// commit: the per-file S3 COPY fan-out, the base and index
+    /// SimpleDB chunk writes, the temp-object GC delete fan-out and the
+    /// batched WAL-acknowledgement fan-out are all bounded by this. The
+    /// default 16 sits well inside the 40 requests SimpleDB admits at
+    /// once. Daemon-side only — client op counts and latencies are
+    /// unchanged.
     pub commit_parallelism: usize,
     /// Whether P3's commit daemon maintains the live change feed
     /// (`crate::feed`): staging a [`CommitEvent`](crate::feed::CommitEvent)

@@ -292,9 +292,13 @@ impl PaS3fs {
         // describing data that never existed (a baked-in coupling
         // violation the chaos explorer caught). Such historic nodes
         // flush provenance-only, and the newer version's own close
-        // uploads the bytes.
+        // uploads the bytes. A node with no pending write has no bytes
+        // of its own to ship: its data went up with an earlier flush, or
+        // it is historic — a renamed file's old version still carries
+        // the old name, and today's bytes under that name belong to
+        // another file.
         match self.vfs.stat(&name) {
-            Some(st) if node.data_hash.is_none_or(|h| h == st.fingerprint) => {
+            Some(st) if node.data_hash == Some(st.fingerprint) => {
                 let blob = Blob::synthetic(st.size, st.fingerprint);
                 self.vfs.mark_clean(&name);
                 FlushObject::file(node, key_of_path(&name), blob)
@@ -565,6 +569,41 @@ mod tests {
             "unclosed ancestor file must still be uploaded"
         );
         assert!(cloud.s3().peek_committed("data", "final").is_some());
+    }
+
+    #[test]
+    fn renamed_file_old_version_never_ships_the_new_bytes() {
+        // p1 read /f4's first version, then /f4 was renamed away and a
+        // new /f4 written. Closing p1's output flushes the old version's
+        // rename provenance through p1's closure; the cache bytes under
+        // /f4 belong to the new file and must not go up as that version.
+        let (_sim, cloud) = env();
+        let p3 = client(&cloud, Protocol::P3);
+        let fs = PaS3fs::attach(p3.clone(), LocalIoParams::instant(), 42);
+        for p in 0..2 {
+            fs.exec(
+                Pid(p),
+                ProcessInfo {
+                    name: format!("proc{p}"),
+                    ..Default::default()
+                },
+            );
+        }
+        fs.write(Pid(0), "/f4", 2048);
+        fs.close(Pid(0), "/f4").unwrap();
+        p3.drain().unwrap();
+        fs.read(Pid(1), "/f4", 1024);
+        fs.rename(Pid(0), "/f4", "/f3");
+        fs.write(Pid(0), "/f3", 2048);
+        fs.write(Pid(0), "/f4", 2048);
+        fs.write(Pid(0), "/f4", 2048);
+        fs.write(Pid(1), "/f6", 2048);
+        fs.close(Pid(1), "/f6").unwrap();
+        p3.drain().unwrap();
+        assert_eq!(
+            fs.read_back("/f4").unwrap().coupling,
+            CouplingCheck::Coupled
+        );
     }
 
     #[test]

@@ -26,11 +26,11 @@ use std::time::Duration;
 
 use cloudprov_cloud::{AwsProfile, CloudEnv, PriceBook, TenantId};
 use cloudprov_core::{
-    CommitEvent, CouplingCheck, FlushSample, Protocol, ProtocolConfig, ProvenanceClient,
-    StorageProtocol,
+    audit_feed, CommitEvent, CouplingCheck, FlushSample, Protocol, ProtocolConfig,
+    ProvenanceClient, StorageProtocol,
 };
 use cloudprov_feed::{Predicate, Subscriptions};
-use cloudprov_fleet::{Fleet, FleetConfig, PoolStats};
+use cloudprov_fleet::{Fleet, FleetConfig, PoolStats, ShardRouter};
 use cloudprov_fs::{LocalIoParams, PaS3fs};
 use cloudprov_pass::Uuid;
 use cloudprov_sim::Sim;
@@ -208,7 +208,9 @@ pub struct FleetReport {
     /// Duplicate feed deliveries (allowed by the at-least-once contract,
     /// reported for visibility).
     pub feed_duplicates: u64,
-    /// Feed sequence gaps plus out-of-order deliveries (must be 0).
+    /// Feed sequence gaps plus out-of-order deliveries, plus staged
+    /// sequences the durable audit finds missing or staged twice (must
+    /// be 0).
     pub feed_gaps: u64,
     /// Committed transactions that never surfaced on the feed (must be
     /// 0 in push mode: at-least-once means *at least* once).
@@ -562,13 +564,22 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
     let trace_stats = params.trace.then(|| env.tracer().stats());
     let trace_json = (params.trace && params.trace_export).then(|| env.tracer().chrome_trace());
 
-    // Feed accounting: the bus's own gap/duplicate counters plus the
-    // at-least-once join — every committed transaction must have shown
-    // up on the monitor subscription at least once.
+    // Feed accounting: the bus's own gap/duplicate counters, each
+    // shard stream's durable staging audit (contiguous sequences, each
+    // staged once), plus the at-least-once join — every committed
+    // transaction must have shown up on the monitor subscription at
+    // least once.
     let (feed_duplicates, feed_gaps) = match (&subs, &monitor) {
         (Some(s), Some(sub)) => {
             let st = s.stats();
-            (st.duplicates, st.gaps + sub.out_of_order())
+            let staged: u64 = (0..params.shards)
+                .map(|shard| {
+                    let queue = ShardRouter::queue_name(shard);
+                    let a = audit_feed(&env, &protocol_config.layout.domain, &queue);
+                    a.seq_gaps + a.duplicate_seqs
+                })
+                .sum();
+            (st.duplicates, st.gaps + sub.out_of_order() + staged)
         }
         _ => (0, 0),
     };

@@ -196,3 +196,21 @@ fn costs_rank_s3fs_cheapest_p3_most_expensive() {
     assert!(costs["P2"] >= costs["S3fs"]);
     assert!(costs["P3"] >= costs["P1"].min(costs["P2"]));
 }
+
+#[test]
+fn serial_p3_script_replays_keep_every_durable_key_coupled() {
+    // Random scripts rename, rewrite and close files through each
+    // other's provenance closures; whatever a close promised must read
+    // back coupled once the WAL drains.
+    use cloudprov::workloads::testkit::{random_script, replay_fs};
+    for seed in 0..64 {
+        let w = world("p3");
+        let replay = replay_fs(&w.fs, &random_script(seed, 128));
+        assert!(replay.died.is_none(), "seed {seed}: {:?}", replay.died);
+        w.client.drain().unwrap();
+        for key in &replay.durable_keys {
+            let r = w.client.read(key).unwrap();
+            assert_eq!(r.coupling, CouplingCheck::Coupled, "seed {seed}, key {key}");
+        }
+    }
+}
