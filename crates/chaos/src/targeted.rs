@@ -412,17 +412,16 @@ pub fn notify_crash_schedules() -> Vec<NotifyCrashOutcome> {
 
 /// The client-side content-addressed-store crash points, aimed at the
 /// fourth of six flushes so survivors bracket the death. Each flush
-/// stages two publish units (an ancestor process, then a data-carrying
-/// file), so the occurrences land: death before the batch's first
-/// registry probe; death between the file's probe and its data upload;
-/// death at the batch's first registry put (the publish commit point);
-/// and death at the *second* registry put — after one unit fully
-/// published, the guaranteed stranded-garbage shot.
+/// stages one publish batch of two units (an ancestor process and a
+/// data-carrying file): one registry probe, one data upload, one
+/// registry write. So the occurrences land: death before the batch's
+/// probe; death between the probe and the file's data upload; and
+/// death at the batch's registry write (the publish commit point),
+/// after the data upload — the guaranteed stranded-garbage shot.
 pub const CAS_CRASH_POINTS: &[(&str, u64)] = &[
-    ("client:cas:probe", 7),
+    ("client:cas:probe", 4),
     ("client:cas:publish", 4),
-    ("client:cas:register", 7),
-    ("client:cas:register", 8),
+    ("client:cas:register", 4),
 ];
 
 /// Verdict of one aimed CAS-publish crash schedule. The tentpole
@@ -457,7 +456,7 @@ pub struct CasCrashOutcome {
     /// Ancestor references in the committed provenance with no matching
     /// record — the §3 causal-ordering check (must be 0).
     pub dangling_ancestors: usize,
-    /// CAS registry entries no acknowledged flush references (allowed —
+    /// Registered CAS hashes no acknowledged flush references (allowed —
     /// stranded garbage, re-publishable; reported for the table).
     pub stranded_registry: usize,
     /// CAS data objects no acknowledged flush references (allowed).
@@ -593,7 +592,8 @@ pub fn run_cas_crash(step: &'static str, occurrence: u64) -> CasCrashOutcome {
         .sdb()
         .peek_items(&cas_domain(&layout.domain))
         .into_iter()
-        .filter(|(sha, _)| !published.contains(sha))
+        .flat_map(|(_, attrs)| attrs)
+        .filter(|(k, sha)| k == "sha" && !published.contains(sha))
         .count();
     let stranded_data = env
         .s3()
@@ -717,16 +717,20 @@ mod tests {
 
     #[test]
     fn a_death_after_a_completed_publish_strands_garbage_never_a_reference() {
-        // The second register crossing of the dying batch fires only
-        // after the first succeeded, so at least one publish unit of a
-        // never-acknowledged flush is fully durable in the registry.
-        // The design's trade must be visible: that content is stranded
-        // (unreferenced, re-publishable garbage) — and nothing dangles.
-        let o = run_cas_crash("client:cas:register", 8);
+        // The dying batch's register step fires only after its data
+        // upload completed, so a never-acknowledged flush's content is
+        // durable under `cas/` but never announced. The design's trade
+        // must be visible: that content is stranded (unreferenced,
+        // re-publishable garbage) — and nothing dangles.
+        let o = run_cas_crash("client:cas:register", 4);
         assert!(o.violations().is_empty(), "{o:#?}");
         assert!(
-            o.stranded_registry + o.stranded_data >= 1,
-            "a completed publish of a dead flush must strand content: {o:#?}"
+            o.stranded_data >= 1,
+            "a completed data upload of a dead flush must strand content: {o:#?}"
+        );
+        assert_eq!(
+            o.stranded_registry, 0,
+            "the register crash announced nothing"
         );
         assert_eq!(o.dangling_ancestors, 0);
         assert_eq!(o.unique_committed, o.acked_flushes);

@@ -10,11 +10,26 @@
 //! 25 items per `BatchPutAttributes`, at most 256 attribute pairs per item,
 //! SELECT responses paginated at 250 items / 1 MB with a next-token.
 //! Reads and SELECTs are eventually consistent.
+//!
+//! SELECTs are evaluated in item-name order at a drawn staleness
+//! horizon. Those whose WHERE clause implies an equality lookup —
+//! `attr = v`, `attr IN (…)`, the same on `itemName()`, or an AND/OR of
+//! them — visit only the candidates an index yields instead of the
+//! whole domain. The index is per (domain, attribute), built by the
+//! first such query that names the attribute and kept current by every
+//! later write. It covers the pairs of every version ever written and
+//! never forgets one, so it returns a superset of the matching items;
+//! each candidate is then checked with the full predicate at the read's
+//! horizon, and pages, `LIMIT` and `count(*)` come out exactly as a full
+//! scan's. This is host-side work only: a SELECT's modelled latency and
+//! price do not depend on it. Attributes no query names are never
+//! indexed.
 
 pub mod select;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -24,7 +39,7 @@ use crate::error::{CloudError, Result};
 use crate::meter::{Actor, Op, Service, TenantId};
 use crate::service::ServiceCore;
 
-use select::{Output, Select};
+use select::{CmpOp, Expr, Operand, Output, Select};
 
 /// SimpleDB's limit on attribute names and values, in bytes.
 pub const ATTRIBUTE_LIMIT: usize = 1024;
@@ -144,9 +159,208 @@ impl ItemHistory {
     }
 }
 
+/// One equality index: value → names of every item any written version
+/// of which carried `(attribute, value)`.
+type AttrIndex = HashMap<String, BTreeSet<String>>;
+
+/// A domain's items plus the equality indexes its SELECTs have asked for.
+#[derive(Default)]
+struct Domain {
+    items: BTreeMap<String, ItemHistory>,
+    /// Per-attribute equality indexes (see the module docs). Entries
+    /// are never removed: a replaced value, a deleted item or a pruned
+    /// version keeps its names, so a lookup yields a superset of the
+    /// items that match at any horizon.
+    index: HashMap<String, AttrIndex>,
+}
+
+impl Domain {
+    /// Applies one item write at `now`, pruning versions no read with a
+    /// staleness of at most `max_staleness` can still see.
+    fn put(&mut self, item: PutItem, now: SimTime, max_staleness: Duration) {
+        for (k, v) in &item.attrs {
+            if let Some(idx) = self.index.get_mut(k) {
+                idx.entry(v.clone()).or_default().insert(item.name.clone());
+            }
+        }
+        let hist = self.items.entry(item.name.clone()).or_default();
+        let merged = apply_put(hist.latest(), &item);
+        hist.versions.push(ItemVersion {
+            published: now,
+            attrs: Some(merged),
+        });
+        hist.prune(horizon(now, max_staleness));
+    }
+
+    /// Tombstones an item at `now` (a no-op for an unknown item).
+    fn delete(&mut self, name: &str, now: SimTime) {
+        if let Some(hist) = self.items.get_mut(name) {
+            hist.versions.push(ItemVersion {
+                published: now,
+                attrs: None,
+            });
+        }
+    }
+
+    /// Builds the index of every attribute `expr` could look up.
+    fn ensure_indexes(&mut self, expr: &Expr) {
+        match expr {
+            Expr::Cmp {
+                operand: Operand::Attr(attr),
+                op: CmpOp::Eq,
+                ..
+            }
+            | Expr::In {
+                operand: Operand::Attr(attr),
+                ..
+            } if !self.index.contains_key(attr) => {
+                let mut idx = AttrIndex::new();
+                for (name, hist) in &self.items {
+                    for attrs in hist.versions.iter().filter_map(|v| v.attrs.as_ref()) {
+                        for (_, v) in attrs.iter().filter(|(k, _)| k == attr) {
+                            idx.entry(v.clone()).or_default().insert(name.clone());
+                        }
+                    }
+                }
+                self.index.insert(attr.clone(), idx);
+            }
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                self.ensure_indexes(a);
+                self.ensure_indexes(b);
+            }
+            _ => {}
+        }
+    }
+
+    /// Names of a superset of the items `expr` can match, from the
+    /// indexes [`Domain::ensure_indexes`] built — `None` when the
+    /// predicate implies no equality lookup and the page must scan.
+    fn candidates(&self, expr: &Expr) -> Option<BTreeSet<&str>> {
+        let lookup = |operand: &Operand, values: &[String]| -> Option<BTreeSet<&str>> {
+            Some(match operand {
+                Operand::ItemName => values
+                    .iter()
+                    .filter_map(|v| self.items.get_key_value(v).map(|(k, _)| k.as_str()))
+                    .collect(),
+                Operand::Attr(attr) => {
+                    let idx = self.index.get(attr)?;
+                    values
+                        .iter()
+                        .filter_map(|v| idx.get(v))
+                        .flatten()
+                        .map(String::as_str)
+                        .collect()
+                }
+            })
+        };
+        match expr {
+            Expr::Cmp {
+                operand,
+                op: CmpOp::Eq,
+                value,
+            } => lookup(operand, std::slice::from_ref(value)),
+            Expr::In { operand, values } => lookup(operand, values),
+            Expr::And(a, b) => match (self.candidates(a), self.candidates(b)) {
+                (Some(x), Some(y)) => Some(if x.len() <= y.len() { x } else { y }),
+                (x, y) => x.or(y),
+            },
+            Expr::Or(a, b) => {
+                let mut x = self.candidates(a)?;
+                x.extend(self.candidates(b)?);
+                Some(x)
+            }
+            _ => None,
+        }
+    }
+
+    /// Evaluates one SELECT page at `horizon`, resuming after the
+    /// `start` matches earlier pages returned. With `indexed`, only the
+    /// candidates an index lookup yields are visited — still in name
+    /// order and still under the full predicate, so pages, `LIMIT` and
+    /// `count(*)` come out exactly as the full scan's. Returns the page
+    /// and its response size.
+    fn select_page(
+        &mut self,
+        query: &Select,
+        start: usize,
+        horizon: SimTime,
+        indexed: bool,
+    ) -> (SelectPage, u64) {
+        let candidates = match (&query.predicate, indexed) {
+            (Some(p), true) => {
+                self.ensure_indexes(p);
+                self.candidates(p)
+            }
+            _ => None,
+        };
+        let visit: Box<dyn Iterator<Item = (&String, &ItemHistory)>> = match &candidates {
+            Some(names) => Box::new(names.iter().filter_map(|n| self.items.get_key_value(*n))),
+            None => Box::new(self.items.iter()),
+        };
+        let mut items = Vec::new();
+        let mut bytes: u64 = 0;
+        let mut matched = 0usize;
+        let mut next = None;
+        let limit = query.limit.unwrap_or(usize::MAX);
+        for (name, hist) in visit {
+            let Some(attrs) = hist.visible_at(horizon) else {
+                continue;
+            };
+            let matches = query
+                .predicate
+                .as_ref()
+                .is_none_or(|p| p.matches(name, attrs));
+            if !matches {
+                continue;
+            }
+            matched += 1;
+            if matched <= start {
+                continue;
+            }
+            if query.output == Output::Count {
+                continue;
+            }
+            if matched - start > limit {
+                break;
+            }
+            let item_bytes = name.len() as u64
+                + if query.output == Output::All {
+                    attrs_size(attrs)
+                } else {
+                    0
+                };
+            if items.len() >= SELECT_PAGE_ITEMS || bytes + item_bytes > SELECT_PAGE_BYTES {
+                next = Some(matched - 1); // resume before this item
+                break;
+            }
+            bytes += item_bytes;
+            items.push(SelectedItem {
+                name: name.clone(),
+                attrs: if query.output == Output::All {
+                    attrs.clone()
+                } else {
+                    Vec::new()
+                },
+            });
+        }
+        let count = (query.output == Output::Count).then_some(matched);
+        let page = SelectPage {
+            items,
+            count,
+            next_token: next.map(|n| n.to_string()),
+        };
+        (page, bytes.max(16))
+    }
+}
+
+/// The latest instant a read `staleness` behind `now` can see.
+fn horizon(now: SimTime, staleness: Duration) -> SimTime {
+    SimTime::from_micros(now.as_micros().saturating_sub(staleness.as_micros() as u64))
+}
+
 #[derive(Default)]
 struct DbState {
-    domains: BTreeMap<String, BTreeMap<String, ItemHistory>>,
+    domains: BTreeMap<String, Domain>,
 }
 
 /// Handle to the simulated database. Cloning is cheap; see
@@ -295,17 +509,7 @@ impl Database {
                     .get_mut(&domain)
                     .ok_or(CloudError::NoSuchDomain(domain.clone()))?;
                 for item in items {
-                    let hist = dom.entry(item.name.clone()).or_default();
-                    let merged = apply_put(hist.latest(), &item);
-                    hist.versions.push(ItemVersion {
-                        published: now,
-                        attrs: Some(merged),
-                    });
-                    let horizon = SimTime::from_micros(
-                        now.as_micros()
-                            .saturating_sub(core.max_staleness().as_micros() as u64),
-                    );
-                    hist.prune(horizon);
+                    dom.put(item, now, core.max_staleness());
                 }
                 Ok(((), 0))
             },
@@ -325,17 +529,15 @@ impl Database {
         let item_name = item_name.to_string();
         self.core
             .call(self.actor, self.tenant, Op::DbGet, 0, 0, move |now| {
-                let horizon = SimTime::from_micros(
-                    now.as_micros().saturating_sub(staleness.as_micros() as u64),
-                );
                 let st = state.lock();
                 let dom = st
                     .domains
                     .get(&domain)
                     .ok_or(CloudError::NoSuchDomain(domain.clone()))?;
                 let attrs = dom
+                    .items
                     .get(&item_name)
-                    .and_then(|h| h.visible_at(horizon))
+                    .and_then(|h| h.visible_at(horizon(now, staleness)))
                     .cloned()
                     .unwrap_or_default();
                 let bytes = attrs_size(&attrs);
@@ -356,12 +558,7 @@ impl Database {
                     .domains
                     .get_mut(&domain)
                     .ok_or(CloudError::NoSuchDomain(domain.clone()))?;
-                if let Some(hist) = dom.get_mut(&item_name) {
-                    hist.versions.push(ItemVersion {
-                        published: now,
-                        attrs: None,
-                    });
-                }
+                dom.delete(&item_name, now);
                 Ok(((), 0))
             })
     }
@@ -393,67 +590,12 @@ impl Database {
             0,
             bytes_in,
             move |now| {
-                let horizon = SimTime::from_micros(
-                    now.as_micros().saturating_sub(staleness.as_micros() as u64),
-                );
-                let st = state.lock();
+                let mut st = state.lock();
                 let dom = st
                     .domains
-                    .get(&query.domain)
+                    .get_mut(&query.domain)
                     .ok_or_else(|| CloudError::NoSuchDomain(query.domain.clone()))?;
-                let mut items = Vec::new();
-                let mut bytes: u64 = 0;
-                let mut matched = 0usize;
-                let mut next = None;
-                let limit = query.limit.unwrap_or(usize::MAX);
-                for (name, hist) in dom.iter() {
-                    let Some(attrs) = hist.visible_at(horizon) else {
-                        continue;
-                    };
-                    let matches = query
-                        .predicate
-                        .as_ref()
-                        .is_none_or(|p| p.matches(name, attrs));
-                    if !matches {
-                        continue;
-                    }
-                    matched += 1;
-                    if matched <= start {
-                        continue;
-                    }
-                    if query.output == Output::Count {
-                        continue;
-                    }
-                    if matched - start > limit {
-                        break;
-                    }
-                    let item_bytes = name.len() as u64
-                        + if query.output == Output::All {
-                            attrs_size(attrs)
-                        } else {
-                            0
-                        };
-                    if items.len() >= SELECT_PAGE_ITEMS || bytes + item_bytes > SELECT_PAGE_BYTES {
-                        next = Some(matched - 1); // resume before this item
-                        break;
-                    }
-                    bytes += item_bytes;
-                    items.push(SelectedItem {
-                        name: name.clone(),
-                        attrs: if query.output == Output::All {
-                            attrs.clone()
-                        } else {
-                            Vec::new()
-                        },
-                    });
-                }
-                let count = (query.output == Output::Count).then_some(matched);
-                let page = SelectPage {
-                    items,
-                    count,
-                    next_token: next.map(|n| n.to_string()),
-                };
-                Ok((page, bytes.max(16)))
+                Ok(dom.select_page(&query, start, horizon(now, staleness), true))
             },
         )
     }
@@ -479,6 +621,7 @@ impl Database {
         let st = self.state.lock();
         st.domains
             .get(domain)?
+            .items
             .get(item_name)
             .and_then(|h| h.latest())
             .cloned()
@@ -493,7 +636,8 @@ impl Database {
         st.domains
             .get(domain)
             .map(|d| {
-                d.iter()
+                d.items
+                    .iter()
                     .filter_map(|(name, h)| h.latest().map(|a| (name.clone(), a.clone())))
                     .collect()
             })
@@ -505,7 +649,7 @@ impl Database {
         let st = self.state.lock();
         st.domains
             .get(domain)
-            .map(|d| d.values().filter(|h| h.latest().is_some()).count())
+            .map(|d| d.items.values().filter(|h| h.latest().is_some()).count())
             .unwrap_or(0)
     }
 }
@@ -800,10 +944,178 @@ mod tests {
     }
 
     #[test]
+    fn equality_selects_follow_later_writes_and_replaces() {
+        let (_sim, db) = db(AwsProfile::instant());
+        db.put_attributes("prov", item("i1", &[("sha", "a"), ("sha", "b")]))
+            .unwrap();
+        let names = |q: &str| -> Vec<String> {
+            db.select_all(q)
+                .unwrap()
+                .into_iter()
+                .map(|i| i.name)
+                .collect()
+        };
+        // The first lookup builds the `sha` index; later writes join it.
+        assert_eq!(names("select * from prov where sha = 'b'"), ["i1"]);
+        db.put_attributes("prov", item("i0", &[("sha", "b")]))
+            .unwrap();
+        assert_eq!(
+            names("select * from prov where sha in ('b', 'zz')"),
+            ["i0", "i1"]
+        );
+        // A replaced value stays indexed but no longer matches.
+        db.put_attributes(
+            "prov",
+            PutItem {
+                name: "i0".into(),
+                attrs: vec![("sha".into(), "c".into())],
+                replace: true,
+            },
+        )
+        .unwrap();
+        assert_eq!(names("select * from prov where sha = 'b'"), ["i1"]);
+        assert_eq!(
+            names("select itemName() from prov where itemName() in ('i0', 'nope')"),
+            ["i0"]
+        );
+    }
+
+    #[test]
+    fn indexed_select_pages_like_a_scan() {
+        let (_sim, db) = db(AwsProfile::instant());
+        for i in 0..600 {
+            let v = if i % 3 == 0 { "hit" } else { "miss" };
+            db.put_attributes("prov", item(&format!("i{i:04}"), &[("a", v)]))
+                .unwrap();
+        }
+        let q = select::parse("select * from prov where a = 'hit'").unwrap();
+        let now = SimTime::from_micros(u64::MAX / 2);
+        let mut st = db.state.lock();
+        let dom = st.domains.get_mut("prov").unwrap();
+        let mut start = 0;
+        let mut pages = 0;
+        loop {
+            let indexed = dom.select_page(&q, start, now, true);
+            assert_eq!(indexed, dom.select_page(&q, start, now, false));
+            pages += 1;
+            match indexed.0.next_token {
+                Some(t) => start = t.parse().unwrap(),
+                None => break,
+            }
+        }
+        assert_eq!(pages, 1);
+        assert_eq!(start, 0);
+        let q = select::parse("select itemName() from prov where a in ('hit', 'miss')").unwrap();
+        let (page, _) = dom.select_page(&q, 0, now, true);
+        assert_eq!(page.items.len(), SELECT_PAGE_ITEMS);
+        assert_eq!(page, dom.select_page(&q, 0, now, false).0);
+        let (rest, _) = dom.select_page(&q, SELECT_PAGE_ITEMS, now, true);
+        assert_eq!(rest, dom.select_page(&q, SELECT_PAGE_ITEMS, now, false).0);
+    }
+
+    #[test]
     fn batch_put_is_atomic_for_valid_batches() {
         let (_sim, db) = db(AwsProfile::instant());
         let items = vec![item("a", &[("x", "1")]), item("b", &[("x", "2")])];
         db.batch_put_attributes("prov", items).unwrap();
         assert_eq!(db.peek_item_count("prov"), 2);
+    }
+}
+
+#[cfg(test)]
+mod index_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    const NAMES: [&str; 6] = ["a1", "a2", "b1", "b2", "c", "ab"];
+    const ATTRS: [&str; 3] = ["k", "m", "sha"];
+    const VALUES: [&str; 4] = ["x", "y", "z", "xy"];
+
+    /// A WHERE clause over the small name/attribute/value universe:
+    /// indexable shapes (`=`, `IN`, `itemName()` lookups and prefix
+    /// LIKEs, and their AND/OR) next to ones that must scan.
+    fn predicate(shape: u8, a: usize, v: usize, w: usize) -> Option<String> {
+        let (attr, val, val2) = (ATTRS[a], VALUES[v], VALUES[w]);
+        let name = NAMES[(v + w) % NAMES.len()];
+        Some(match shape {
+            0 => return None,
+            1 => format!("{attr} = '{val}'"),
+            2 => format!("{attr} in ('{val}', '{val2}')"),
+            3 => format!("itemName() = '{name}'"),
+            4 => format!("itemName() in ('{name}', 'a2', 'zz')"),
+            5 => format!("itemName() like '{}%' and k = '{val}'", &name[..1]),
+            6 => format!("{attr} = '{val}' and k in ('{val2}', 'y')"),
+            7 => format!("{attr} = '{val}' or itemName() = '{name}'"),
+            8 => format!("{attr} = '{val}' or m != '{val2}'"),
+            _ => format!("not {attr} = '{val}'"),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After any history of puts (accumulating or `replace`),
+        /// deletes and prunes, every SELECT answered from the lazily
+        /// built, write-maintained index returns exactly the page the
+        /// full scan returns — at every staleness horizon, `LIMIT`,
+        /// resume offset (`next_token`) and projection, `count(*)`
+        /// included.
+        #[test]
+        fn indexed_select_equals_a_full_scan(
+            ops in proptest::collection::vec(
+                (
+                    (0u8..4, 0usize..6, 0usize..3, 0usize..4),
+                    (any::<bool>(), 0u64..4, 0u8..10, 0u8..3),
+                    (0usize..4, 0usize..5, 0usize..4, 0u64..8),
+                ),
+                1..40,
+            ),
+        ) {
+            let max_staleness = Duration::from_secs(5);
+            let mut dom = Domain::default();
+            let mut now = 0u64;
+            for ((kind, n, a, v), (replace, dt, shape, out), (w, limit, start, stale)) in ops {
+                now += dt;
+                let at = SimTime::from_micros(now * 1_000_000);
+                let name = NAMES[n].to_string();
+                match kind {
+                    0 | 1 => dom.put(
+                        PutItem {
+                            name,
+                            attrs: vec![
+                                (ATTRS[a].into(), VALUES[v].into()),
+                                (ATTRS[(a + 1) % 3].into(), VALUES[w].into()),
+                            ],
+                            replace,
+                        },
+                        at,
+                        max_staleness,
+                    ),
+                    2 => dom.put(
+                        PutItem {
+                            name,
+                            attrs: vec![(ATTRS[a].into(), VALUES[v].into())],
+                            replace: true,
+                        },
+                        at,
+                        max_staleness,
+                    ),
+                    _ => dom.delete(&name, at),
+                }
+                let output = ["*", "itemName()", "count(*)"][out as usize];
+                let mut q = format!("select {output} from prov");
+                if let Some(p) = predicate(shape, a, v, w) {
+                    q.push_str(&format!(" where {p}"));
+                }
+                if limit > 0 {
+                    q.push_str(&format!(" limit {limit}"));
+                }
+                let query = select::parse(&q).unwrap();
+                let horizon = SimTime::from_micros(now.saturating_sub(stale) * 1_000_000);
+                let indexed = dom.select_page(&query, start, horizon, true);
+                let scanned = dom.select_page(&query, start, horizon, false);
+                prop_assert_eq!(indexed, scanned, "{} at {:?} from {}", q, horizon, start);
+            }
+        }
     }
 }

@@ -11,19 +11,22 @@
 //!   wire-encoded provenance records). Identical content hashes
 //!   identically on every client of the fleet.
 //! * The **registry** is a shared SimpleDB domain (`cas_{domain}`,
-//!   [`cas_domain`]): one item per hash carrying the node id, the final
-//!   object-store key and the record lines. The registry put is the
-//!   publish commit point.
+//!   [`cas_domain`]) holding each hash's node id, final object-store key
+//!   and record lines. A publish batch packs its hashes into as few
+//!   items as the 256-pair limit allows (`registry_items`), looked up
+//!   by a multi-valued `sha` attribute. The registry put is the publish
+//!   commit point.
 //! * **Data** (when the object carries any) lives as a raw S3 object at
 //!   `cas/{sha}` in the data bucket ([`cas_object_key`]) — raw bytes,
 //!   not an encoding, so the commit daemon's existing `COPY
 //!   cas/{sha} → final` lands the correct data and stamps the version
 //!   metadata exactly like a temp-object copy.
-//! * Publishing probes the registry first (`GetAttributes`, one cheap
-//!   read): a hit means some client anywhere already made this content
-//!   durable, and the upload is skipped entirely. Races are harmless —
-//!   a double publish re-puts identical bytes and identical
-//!   (name, value) pairs, both idempotent.
+//! * Publishing probes the registry first (one `sha in (…)` SELECT per
+//!   20 hashes): a hit means some client anywhere already made this
+//!   content durable, and the upload is skipped entirely. Races are
+//!   harmless — a double publish re-puts identical bytes, and an
+//!   identical batch re-puts identical (name, value) pairs into the same
+//!   item, both idempotent.
 //!
 //! The client's flusher then logs WAL transactions that *reference*
 //! hashes (`CAS\t…` lines) instead of carrying payloads, and a
@@ -37,18 +40,22 @@
 //! an unreferenced CAS object (garbage, re-publishable) but never a WAL
 //! reference to content that does not exist.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cloudprov_cloud::{Blob, CloudEnv, Metadata, PutItem};
-use cloudprov_pass::{wire, PNodeId};
+use cloudprov_cloud::{
+    quote_literal, Actor, Attributes, Blob, CloudEnv, Metadata, PutItem, BATCH_LIMIT,
+    ITEM_ATTR_LIMIT,
+};
+use cloudprov_pass::{wire, PNodeId, ProvenanceRecord};
 use cloudprov_sim::SimSemaphore;
 
 use crate::error::{ProtocolError, Result};
-use crate::protocol::{retry, FlushObject, ProtocolConfig};
+use crate::protocol::{fan_out, retry, FlushObject, ProtocolConfig, Task};
 
 /// Key prefix of CAS data objects within the data bucket. Disjoint from
 /// the temp prefix, so the cleaner daemon (which lists only `tmp/`)
@@ -60,6 +67,10 @@ pub const CAS_OBJECT_PREFIX: &str = "cas/";
 /// items beyond 256 attributes — staying far under the limit keeps the
 /// registry lossless. Oversized objects just take the delta path.
 pub const CAS_MAX_RECORDS: usize = 200;
+
+/// Hashes per registry SELECT: the service caps the comparisons one
+/// `IN (…)` list may carry at 20.
+pub(crate) const CAS_SELECT_HASHES: usize = 20;
 
 /// An encoded record line above this length makes an object
 /// CAS-ineligible (SimpleDB rejects attribute values over 1 KB; such
@@ -158,6 +169,7 @@ struct CasCounters {
     probes: AtomicU64,
     hits: AtomicU64,
     publishes: AtomicU64,
+    registers: AtomicU64,
 }
 
 /// A publish unit produced by [`CasStore::stage`]: the content to make
@@ -249,27 +261,32 @@ impl CasStore {
         Some((cas_ref, publish))
     }
 
-    /// Runs one publish unit: probe the registry, and on a miss upload
-    /// the data object (if any) strictly before the registry put — the
-    /// commit point. Never returns an error; the outcome lands in the
-    /// hash's state and [`CasStore::wait`] reports it to the flusher.
-    pub fn publish(&self, unit: CasPublish) {
-        let sha = unit.sha.clone();
-        // Trace: one `cas:publish` root span per publish unit. CAS
-        // content is shared fleet-wide, so the span roots its own trace
-        // (id = the hash's leading bits) rather than any one txn's tree.
+    /// Runs one staged batch's publish units: probe the registry for
+    /// every hash (one SELECT per 20 hashes), PUT the data of every miss
+    /// in parallel, and only then register the ready units — the commit
+    /// point — packed into as few items as the 256-pair limit allows
+    /// (`registry_items`), up to 25 per `BatchPutAttributes`. Never
+    /// returns an error; each hash's outcome lands in its state and
+    /// [`CasStore::wait`] reports it to the flusher.
+    pub fn publish_batch(&self, units: Vec<CasPublish>) {
+        let Some(first) = units.first().map(|u| u.sha.clone()) else {
+            return;
+        };
+        // Trace: one `cas:publish` root span per batch. CAS content is
+        // shared fleet-wide, so the span roots its own trace (id = the
+        // first hash's leading bits) rather than any one txn's tree.
         let tracer = self.env.tracer().clone();
         let span = tracer.enabled().then(|| {
-            let trace = u128::from_str_radix(&sha[..sha.len().min(32)], 16).unwrap_or(0);
+            let trace = u128::from_str_radix(&first[..first.len().min(32)], 16).unwrap_or(0);
             (tracer.alloc(trace), self.env.sim().now())
         });
-        let outcome = self.publish_inner(unit);
+        let outcomes = self.publish_units(&units);
         if let Some((ctx, t0)) = span {
             tracer.emit(
                 ctx,
                 None,
                 "cas:publish",
-                &format!("cas {}", &sha[..sha.len().min(8)]),
+                &format!("cas {} x{}", &first[..first.len().min(8)], units.len()),
                 None,
                 t0,
                 self.env.sim().now(),
@@ -277,72 +294,154 @@ impl CasStore {
             );
         }
         let mut st = self.state.lock();
-        let prev = st.insert(
-            sha,
-            match outcome {
-                Ok(()) => CasState::Durable,
-                Err(e) => CasState::Failed(e),
-            },
-        );
-        if let Some(CasState::InFlight(sem)) = prev {
-            sem.release();
+        for (unit, outcome) in units.into_iter().zip(outcomes) {
+            let prev = st.insert(
+                unit.sha,
+                match outcome {
+                    Ok(()) => CasState::Durable,
+                    Err(e) => CasState::Failed(e),
+                },
+            );
+            if let Some(CasState::InFlight(sem)) = prev {
+                sem.release();
+            }
         }
     }
 
-    fn publish_inner(&self, unit: CasPublish) -> Result<()> {
+    /// The outcome of each unit of [`CasStore::publish_batch`], in order.
+    fn publish_units(&self, units: &[CasPublish]) -> Vec<Result<()>> {
         let sim = self.env.sim();
-        let sdb = self.env.sdb();
+        let concurrency = self.config.upload_concurrency;
+        let mut outcome: Vec<Option<Result<()>>> = vec![None; units.len()];
+        let probes: Vec<Task<Result<BTreeSet<String>>>> = units
+            .chunks(CAS_SELECT_HASHES)
+            .map(|chunk| {
+                let store = self.clone();
+                let shas: Vec<String> = chunk.iter().map(|u| u.sha.clone()).collect();
+                Box::new(move || store.probe(&shas)) as Task<_>
+            })
+            .collect();
+        for ((slots, chunk), probed) in outcome
+            .chunks_mut(CAS_SELECT_HASHES)
+            .zip(units.chunks(CAS_SELECT_HASHES))
+            .zip(fan_out(sim, concurrency, probes))
+        {
+            for (slot, unit) in slots.iter_mut().zip(chunk) {
+                match &probed {
+                    // Some client anywhere already published this
+                    // content. (An eventually-consistent miss just
+                    // republishes — idempotent.)
+                    Ok(found) if found.contains(&unit.sha) => {
+                        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                        *slot = Some(Ok(()));
+                    }
+                    Ok(_) => {}
+                    Err(e) => *slot = Some(Err(e.clone())),
+                }
+            }
+        }
+        // Content strictly before the registry entry that announces it:
+        // a crash between the two leaves an unannounced object a later
+        // publisher overwrites with identical bytes.
+        let mut uploading = Vec::new();
+        let mut uploads: Vec<Task<Result<()>>> = Vec::new();
+        for (i, unit) in units.iter().enumerate() {
+            let (None, Some(data)) = (&outcome[i], &unit.data) else {
+                continue;
+            };
+            let (store, sha, data) = (self.clone(), unit.sha.clone(), data.clone());
+            uploading.push(i);
+            uploads.push(Box::new(move || store.put_data(&sha, data)));
+        }
+        for (i, r) in uploading
+            .into_iter()
+            .zip(fan_out(sim, concurrency, uploads))
+        {
+            if r.is_err() {
+                outcome[i] = Some(r);
+            }
+        }
+        let ready: Vec<&CasPublish> = units
+            .iter()
+            .zip(&outcome)
+            .filter(|(_, o)| o.is_none())
+            .map(|(u, _)| u)
+            .collect();
+        let items = registry_items(&ready);
+        let mut registered: BTreeMap<&str, Result<()>> = BTreeMap::new();
+        for call in items.chunks(BATCH_LIMIT) {
+            let r = self.register(call);
+            for item in call {
+                for (_, sha) in item.attrs.iter().filter(|(k, _)| k == "sha") {
+                    registered.insert(sha, r.clone());
+                }
+            }
+        }
+        units
+            .iter()
+            .zip(outcome)
+            .map(|(unit, o)| {
+                o.unwrap_or_else(|| {
+                    registered
+                        .get(unit.sha.as_str())
+                        .cloned()
+                        .expect("every ready unit is packed into an item")
+                })
+            })
+            .collect()
+    }
+
+    /// One registry probe: which of `shas` some client already
+    /// registered.
+    fn probe(&self, shas: &[String]) -> Result<BTreeSet<String>> {
         self.config.step("client:cas:probe")?;
-        self.counters.probes.fetch_add(1, Ordering::Relaxed);
-        let existing = retry(sim, self.config.retries, || {
-            sdb.get_attributes(&self.registry, &unit.sha)
+        self.counters
+            .probes
+            .fetch_add(shas.len() as u64, Ordering::Relaxed);
+        let sdb = self.env.sdb();
+        let expr = registry_select(&self.registry, shas);
+        let items = retry(self.env.sim(), self.config.retries, || {
+            sdb.select_all(&expr)
         })?;
-        if !existing.is_empty() {
-            // Some client anywhere already published this content. (An
-            // eventually-consistent miss just republishes — idempotent.)
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        if let Some(data) = &unit.data {
-            // Content strictly before the registry entry that announces
-            // it: a crash between the two leaves an unannounced object a
-            // later publisher overwrites with identical bytes.
-            self.config.step("client:cas:publish")?;
-            retry(sim, self.config.retries, || {
-                self.env.s3().put(
-                    &self.config.layout.data_bucket,
-                    &cas_object_key(&unit.sha),
-                    data.clone(),
-                    Metadata::new(),
-                )
-            })?;
-        }
-        self.config.step("client:cas:register")?;
-        let mut attrs: Vec<(String, String)> = vec![
-            ("node".to_string(), unit.id.to_string()),
-            (
-                "key".to_string(),
-                unit.key.clone().unwrap_or_else(|| "-".to_string()),
-            ),
-            (
-                "data".to_string(),
-                if unit.data.is_some() { "1" } else { "0" }.to_string(),
-            ),
-        ];
-        for (i, line) in unit.records.iter().enumerate() {
-            attrs.push((format!("r{i:03}"), line.clone()));
-        }
-        retry(sim, self.config.retries, || {
-            sdb.put_attributes(
-                &self.registry,
-                PutItem {
-                    name: unit.sha.clone(),
-                    attrs: attrs.clone(),
-                    replace: false,
-                },
+        Ok(items
+            .iter()
+            .flat_map(|item| item.attrs.iter())
+            .filter(|(k, _)| k == "sha")
+            .map(|(_, sha)| sha.clone())
+            .collect())
+    }
+
+    /// Uploads one miss's data object to `cas/{sha}`.
+    fn put_data(&self, sha: &str, data: Blob) -> Result<()> {
+        self.config.step("client:cas:publish")?;
+        retry(self.env.sim(), self.config.retries, || {
+            self.env.s3().put(
+                &self.config.layout.data_bucket,
+                &cas_object_key(sha),
+                data.clone(),
+                Metadata::new(),
             )
         })?;
-        self.counters.publishes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Writes one `BatchPutAttributes` of registry items.
+    fn register(&self, items: &[PutItem]) -> Result<()> {
+        self.config.step("client:cas:register")?;
+        let hashes = items
+            .iter()
+            .flat_map(|i| &i.attrs)
+            .filter(|(k, _)| k == "sha")
+            .count();
+        retry(self.env.sim(), self.config.retries, || {
+            self.env
+                .sdb()
+                .batch_put_attributes(&self.registry, items.to_vec())
+        })?;
+        self.counters.registers.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .publishes
+            .fetch_add(hashes as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -374,37 +473,114 @@ impl CasStore {
         }
     }
 
-    /// (probes, hits, publishes) so far.
-    pub fn counters(&self) -> (u64, u64, u64) {
+    /// (hashes probed, probe hits, hashes registered, registry
+    /// `BatchPutAttributes` calls) so far.
+    pub fn counters(&self) -> (u64, u64, u64, u64) {
         (
             self.counters.probes.load(Ordering::Relaxed),
             self.counters.hits.load(Ordering::Relaxed),
             self.counters.publishes.load(Ordering::Relaxed),
+            self.counters.registers.load(Ordering::Relaxed),
         )
     }
 }
 
-/// Decodes a registry item's attributes back into
+/// Registry items for `units`: sorted by hash, packed greedily into
+/// items of at most [`ITEM_ATTR_LIMIT`] pairs. Each unit contributes a
+/// `sha` value (the lookup key, multi-valued across the item) and its
+/// `{slot}:node` / `{slot}:key` / `{slot}:data` / `{slot}:rNNN` fields,
+/// where `slot` is the hash's rank among the item's `sha` values — so
+/// every field names the hash it belongs to without repeating it. An
+/// item is named by the
+/// SHA-256 of its packed hash list: an identical batch re-puts identical
+/// pairs into the same item, and two different batches never merge into
+/// one item (where the pair cap could truncate either).
+/// [`CAS_MAX_RECORDS`] keeps any one unit within a single item.
+pub(crate) fn registry_items(units: &[&CasPublish]) -> Vec<PutItem> {
+    let mut sorted = units.to_vec();
+    sorted.sort_by(|a, b| a.sha.cmp(&b.sha));
+    let mut items = Vec::new();
+    let mut attrs: Attributes = Vec::new();
+    let mut shas = String::new();
+    let mut seal = |attrs: &mut Attributes, shas: &mut String| {
+        if !attrs.is_empty() {
+            items.push(PutItem {
+                name: sha256_hex(shas.as_bytes()),
+                attrs: std::mem::take(attrs),
+                replace: false,
+            });
+            shas.clear();
+        }
+    };
+    let mut slot = 0;
+    for unit in sorted {
+        if attrs.len() + 4 + unit.records.len() > ITEM_ATTR_LIMIT {
+            seal(&mut attrs, &mut shas);
+            slot = 0;
+        }
+        shas.push_str(&unit.sha);
+        shas.push('\n');
+        attrs.push(("sha".to_string(), unit.sha.clone()));
+        attrs.push((format!("{slot:02}:node"), unit.id.to_string()));
+        attrs.push((
+            format!("{slot:02}:key"),
+            unit.key.clone().unwrap_or_else(|| "-".to_string()),
+        ));
+        attrs.push((
+            format!("{slot:02}:data"),
+            if unit.data.is_some() { "1" } else { "0" }.to_string(),
+        ));
+        for (i, line) in unit.records.iter().enumerate() {
+            attrs.push((format!("{slot:02}:r{i:03}"), line.clone()));
+        }
+        slot += 1;
+    }
+    seal(&mut attrs, &mut shas);
+    items
+}
+
+/// The registry SELECT for `shas` (at most [`CAS_SELECT_HASHES`]).
+fn registry_select(registry: &str, shas: &[String]) -> String {
+    let list: Vec<String> = shas.iter().map(|s| quote_literal(s)).collect();
+    format!(
+        "select * from {registry} where sha in ({})",
+        list.join(", ")
+    )
+}
+
+/// Decodes `sha`'s fields of a registry item back into
 /// `(id, key, has_data, records)` — the commit daemon's materialization
-/// input. Returns `None` on a malformed item.
+/// input. Returns `None` when the item does not carry `sha` or its
+/// fields are malformed.
 pub fn decode_registry_item(
     attrs: &[(String, String)],
+    sha: &str,
 ) -> Option<(
     PNodeId,
     Option<String>,
     bool,
     Vec<cloudprov_pass::ProvenanceRecord>,
 )> {
+    let mut shas: Vec<&str> = attrs
+        .iter()
+        .filter(|(k, _)| k == "sha")
+        .map(|(_, v)| v.as_str())
+        .collect();
+    shas.sort_unstable();
+    let prefix = format!("{:02}:", shas.binary_search(&sha).ok()?);
     let mut id = None;
     let mut key = None;
     let mut has_data = false;
     let mut lines: Vec<(&str, &str)> = Vec::new();
     for (name, value) in attrs {
-        match name.as_str() {
+        let Some(field) = name.strip_prefix(&prefix) else {
+            continue;
+        };
+        match field {
             "node" => id = value.parse::<PNodeId>().ok(),
             "key" => key = (value != "-").then(|| value.clone()),
             "data" => has_data = value == "1",
-            r if r.starts_with('r') => lines.push((name, value)),
+            r if r.starts_with('r') => lines.push((r, value)),
             _ => {}
         }
     }
@@ -418,6 +594,51 @@ pub fn decode_registry_item(
     }
     let records = wire::decode(text.as_bytes()).ok()?;
     Some((id?, key, has_data, records))
+}
+
+/// Registry records by hash, as [`fetch_records`] returns them.
+pub(crate) type Fetched = BTreeMap<String, Vec<ProvenanceRecord>>;
+
+/// Fetches the registry records of `shas` (at most
+/// [`CAS_SELECT_HASHES`]) for the commit daemon, with the same bounded
+/// visibility-retry discipline as its data copies: the registry is
+/// eventually consistent, and the publish happened strictly before the
+/// WAL reference, so a short wait closes the common race. Each attempt
+/// is one SELECT over the hashes still unresolved, then a 1 s wait. A
+/// hash absent from the result never became visible within the budget
+/// (or its fields are malformed) and evicts the referencing member;
+/// hard cloud errors propagate.
+pub(crate) fn fetch_records(
+    env: &CloudEnv,
+    config: &ProtocolConfig,
+    shas: &[String],
+) -> Result<Fetched> {
+    let sim = env.sim();
+    let sdb = env.sdb().with_actor(Actor::CommitDaemon);
+    let registry = cas_domain(&config.layout.domain);
+    let mut pending: Vec<String> = shas.to_vec();
+    let mut fetched = BTreeMap::new();
+    for _ in 0..config.retries.max(1) + 8 {
+        let expr = registry_select(&registry, &pending);
+        let items = retry(sim, config.retries, || sdb.select_all(&expr))?;
+        pending.retain(|sha| {
+            let Some(item) = items
+                .iter()
+                .find(|i| i.attrs.iter().any(|(k, v)| k == "sha" && v == sha))
+            else {
+                return true;
+            };
+            if let Some((_, _, _, records)) = decode_registry_item(&item.attrs, sha) {
+                fetched.insert(sha.clone(), records);
+            }
+            false
+        });
+        if pending.is_empty() {
+            break;
+        }
+        sim.sleep(Duration::from_secs(1));
+    }
+    Ok(fetched)
 }
 
 /// SHA-256 over `bytes`, hex-encoded. Hand-rolled (FIPS 180-4) — the
@@ -506,8 +727,8 @@ pub fn sha256_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudprov_cloud::AwsProfile;
-    use cloudprov_pass::{Attr, FlushNode, NodeKind, ProvenanceRecord, Uuid};
+    use cloudprov_cloud::{AwsProfile, RunContext};
+    use cloudprov_pass::{Attr, FlushNode, NodeKind, Uuid};
     use cloudprov_sim::Sim;
 
     fn obj(uuid: u128, data: &str) -> FlushObject {
@@ -586,6 +807,46 @@ mod tests {
         assert!(canonical_encoding(&long).is_none(), "over-long line");
     }
 
+    /// `sha`'s entry in the registry, found by its lookup attribute as
+    /// the daemon's SELECT finds it, bypassing consistency.
+    fn registry_entry(
+        env: &CloudEnv,
+        sha: &str,
+    ) -> Option<(
+        PNodeId,
+        Option<String>,
+        bool,
+        Vec<cloudprov_pass::ProvenanceRecord>,
+    )> {
+        env.sdb()
+            .peek_items(&cas_domain("provenance"))
+            .into_iter()
+            .find(|(_, attrs)| attrs.iter().any(|(k, v)| k == "sha" && v == sha))
+            .and_then(|(_, attrs)| decode_registry_item(&attrs, sha))
+    }
+
+    /// A data-carrying object with `n` records.
+    fn obj_with_records(uuid: u128, n: usize) -> FlushObject {
+        let mut o = obj(uuid, &format!("payload-{uuid}"));
+        let id = o.node.id;
+        o.node.records = (0..n)
+            .map(|i| ProvenanceRecord::new(id, Attr::Env, format!("v{uuid}-{i}")))
+            .collect();
+        o
+    }
+
+    /// Stages `objs` on `store` and returns the hashes plus the units.
+    fn stage_all(store: &CasStore, objs: &[FlushObject]) -> (Vec<String>, Vec<CasPublish>) {
+        let mut shas = Vec::new();
+        let mut units = Vec::new();
+        for o in objs {
+            let (r, unit) = store.stage(o).unwrap();
+            shas.push(r.sha);
+            units.extend(unit);
+        }
+        (shas, units)
+    }
+
     #[test]
     fn publish_probe_hit_skips_the_upload() {
         let sim = Sim::new();
@@ -594,22 +855,18 @@ mod tests {
         let store_b = CasStore::new(&env, ProtocolConfig::default());
         let o = obj(5, "payload");
         let (r, publish) = store_a.stage(&o).unwrap();
-        store_a.publish(publish.unwrap());
+        store_a.publish_batch(publish.into_iter().collect());
         store_a.wait(&r.sha).unwrap();
-        assert_eq!(store_a.counters(), (1, 0, 1));
+        assert_eq!(store_a.counters(), (1, 0, 1, 1));
         // A second client staging identical content probes, hits, and
         // uploads nothing.
         let (r2, publish2) = store_b.stage(&o).unwrap();
         assert_eq!(r2.sha, r.sha);
-        store_b.publish(publish2.unwrap());
+        store_b.publish_batch(publish2.into_iter().collect());
         store_b.wait(&r2.sha).unwrap();
-        assert_eq!(store_b.counters(), (1, 1, 0));
+        assert_eq!(store_b.counters(), (1, 1, 0, 0));
         // Registry round-trips the content.
-        let attrs = env
-            .sdb()
-            .peek_item(&cas_domain("provenance"), &r.sha)
-            .unwrap();
-        let (id, key, has_data, records) = decode_registry_item(&attrs).unwrap();
+        let (id, key, has_data, records) = registry_entry(&env, &r.sha).unwrap();
         assert_eq!(id, o.node.id);
         assert_eq!(key.as_deref(), Some("f"));
         assert!(has_data);
@@ -618,6 +875,104 @@ mod tests {
             .s3()
             .peek_committed("data", &cas_object_key(&r.sha))
             .is_some());
+    }
+
+    #[test]
+    fn a_batch_registers_in_one_call() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let store = CasStore::new(&env, ProtocolConfig::default());
+        let objs: Vec<FlushObject> = (10..15).map(|u| obj(u, &format!("d{u}"))).collect();
+        let (shas, units) = stage_all(&store, &objs);
+        store.publish_batch(units);
+        for (sha, o) in shas.iter().zip(&objs) {
+            store.wait(sha).unwrap();
+            let (id, _, _, records) = registry_entry(&env, sha).unwrap();
+            assert_eq!((id, records), (o.node.id, o.node.records.clone()));
+        }
+        assert_eq!(store.counters(), (5, 0, 5, 1));
+        assert_eq!(env.sdb().peek_item_count(&cas_domain("provenance")), 1);
+    }
+
+    #[test]
+    fn a_batch_over_the_pair_limit_splits_into_items() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let store = CasStore::new(&env, ProtocolConfig::default());
+        // 104 pairs per unit: two fit in 256, so five units need three
+        // items — still one BatchPutAttributes call.
+        let objs: Vec<FlushObject> = (20..25).map(|u| obj_with_records(u, 100)).collect();
+        let (shas, units) = stage_all(&store, &objs);
+        store.publish_batch(units);
+        let items = env.sdb().peek_items(&cas_domain("provenance"));
+        assert_eq!(items.len(), 3);
+        assert!(items.iter().all(|(_, a)| a.len() <= ITEM_ATTR_LIMIT));
+        for (sha, o) in shas.iter().zip(&objs) {
+            store.wait(sha).unwrap();
+            let (id, _, has_data, records) = registry_entry(&env, sha).unwrap();
+            assert_eq!(id, o.node.id);
+            assert!(has_data);
+            assert_eq!(records, o.node.records, "{sha} decodes its own records");
+        }
+        assert_eq!(store.counters(), (5, 0, 5, 1));
+    }
+
+    #[test]
+    fn overlapping_batches_get_distinct_items_and_every_hash_resolves() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::calibrated_strict(RunContext::default()));
+        let store_a = CasStore::new(&env, ProtocolConfig::default());
+        let store_b = CasStore::new(&env, ProtocolConfig::default());
+        let objs: Vec<FlushObject> = (30..34).map(|u| obj(u, &format!("o{u}"))).collect();
+        // A publishes {0, 1, 2} while B publishes {1, 2, 3}: both probe
+        // before either registers, so both register the shared hashes.
+        let (shas_a, units_a) = stage_all(&store_a, &objs[..3]);
+        let (shas_b, units_b) = stage_all(&store_b, &objs[1..]);
+        let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+            Box::new(move || store_a.publish_batch(units_a)),
+            Box::new(move || store_b.publish_batch(units_b)),
+        ];
+        sim.run_parallel(2, tasks);
+        let items = env.sdb().peek_items(&cas_domain("provenance"));
+        assert_eq!(items.len(), 2, "two hash lists, two items");
+        let want: BTreeMap<&String, &FlushObject> = shas_a
+            .iter()
+            .zip(&objs[..3])
+            .chain(shas_b.iter().zip(&objs[1..]))
+            .collect();
+        let all: Vec<String> = want.keys().map(|s| s.to_string()).collect();
+        let fetched = fetch_records(&env, &ProtocolConfig::default(), &all).unwrap();
+        assert_eq!(fetched.len(), 4);
+        for (sha, o) in want {
+            assert_eq!(fetched[sha], o.node.records, "{sha}");
+        }
+    }
+
+    #[test]
+    fn republishing_a_batch_reuses_its_item() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::calibrated_strict(RunContext::default()));
+        let objs: Vec<FlushObject> = (40..43).map(|u| obj(u, &format!("r{u}"))).collect();
+        // Two clients publish the identical batch concurrently: both
+        // miss the probe and both register.
+        let stores: Vec<CasStore> = (0..2)
+            .map(|_| CasStore::new(&env, ProtocolConfig::default()))
+            .collect();
+        let tasks: Vec<Box<dyn FnOnce() + Send>> = stores
+            .iter()
+            .map(|store| {
+                let (store, (_, units)) = (store.clone(), stage_all(store, &objs));
+                Box::new(move || store.publish_batch(units)) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        sim.run_parallel(2, tasks);
+        assert!(stores.iter().all(|s| s.counters().3 == 1));
+        let items = env.sdb().peek_items(&cas_domain("provenance"));
+        assert_eq!(items.len(), 1, "one hash list, one item");
+        let attrs = &items[0].1;
+        let distinct: BTreeSet<&(String, String)> = attrs.iter().collect();
+        assert_eq!(distinct.len(), attrs.len(), "no duplicate pairs");
+        assert_eq!(attrs.len(), 3 * (4 + 2));
     }
 
     #[test]
@@ -641,20 +996,22 @@ mod tests {
             ..ProtocolConfig::default()
         };
         let store = CasStore::new(&env, config);
-        let o = obj(7, "x");
-        let (r, publish) = store.stage(&o).unwrap();
-        store.publish(publish.unwrap());
-        assert!(matches!(
-            store.wait(&r.sha),
-            Err(ProtocolError::Crashed { .. })
-        ));
-        // Content PUT landed (strictly before the register crash) but
-        // the registry has no entry: the hash was never announced, so
-        // nothing can reference it — the dangling side is garbage, not
-        // a broken reference.
-        assert!(env
-            .sdb()
-            .peek_item(&cas_domain("provenance"), &r.sha)
-            .is_none());
+        let (shas, units) = stage_all(&store, &[obj(7, "x"), obj(8, "y")]);
+        store.publish_batch(units);
+        for sha in &shas {
+            assert!(matches!(
+                store.wait(sha),
+                Err(ProtocolError::Crashed { .. })
+            ));
+            // Content PUT landed (strictly before the register crash)
+            // but the registry has no entry: the hash was never
+            // announced, so nothing can reference it — the dangling
+            // side is garbage, not a broken reference.
+            assert!(registry_entry(&env, sha).is_none());
+            assert!(env
+                .s3()
+                .peek_committed("data", &cas_object_key(sha))
+                .is_some());
+        }
     }
 }

@@ -663,6 +663,9 @@ pub struct PipelineStats {
     pub cas_hits: u64,
     /// Ancestors this client published into the CAS.
     pub cas_publishes: u64,
+    /// Registry `BatchPutAttributes` requests those publishes took
+    /// (`cas_publishes / cas_register_calls` is hashes per request).
+    pub cas_register_calls: u64,
 }
 
 /// One flush's latency split, reported by
@@ -926,7 +929,6 @@ struct Pipeline {
     /// The fleet-wide content-addressed ancestor store (P3 with
     /// `ProtocolConfig::cas` only).
     cas: Option<CasStore>,
-    config: ProtocolConfig,
 }
 
 impl Pipeline {
@@ -948,7 +950,6 @@ impl Pipeline {
             let shared = shared.clone();
             let work = work.clone();
             let cas = cas.clone();
-            let config = config.clone();
             // The handle is deliberately dropped: the flusher exits on
             // shutdown (or idles, parked on `work`, costing no virtual
             // time) and is never joined.
@@ -961,7 +962,6 @@ impl Pipeline {
             shared,
             work,
             cas,
-            config,
         }
     }
 
@@ -1159,20 +1159,9 @@ impl Pipeline {
         }
         if !publishes.is_empty() {
             let cas = cas.clone();
-            let sim = self.sim.clone();
-            let concurrency = self.config.upload_concurrency;
             // Fire-and-forget: waiters rendezvous through CasStore
             // state, and the flusher's `wait` is the durability fence.
-            let _publisher = self.sim.spawn(move || {
-                let tasks: Vec<_> = publishes
-                    .into_iter()
-                    .map(|unit| {
-                        let cas = cas.clone();
-                        move || cas.publish(unit)
-                    })
-                    .collect();
-                sim.run_parallel(concurrency, tasks);
-            });
+            let _publisher = self.sim.spawn(move || cas.publish_batch(publishes));
         }
         refs
     }
@@ -1265,7 +1254,7 @@ impl Pipeline {
     }
 
     fn stats(&self) -> PipelineStats {
-        let (cas_probes, cas_hits, cas_publishes) = self
+        let (cas_probes, cas_hits, cas_publishes, cas_register_calls) = self
             .cas
             .as_ref()
             .map(CasStore::counters)
@@ -1280,6 +1269,7 @@ impl Pipeline {
             cas_probes,
             cas_hits,
             cas_publishes,
+            cas_register_calls,
         }
     }
 

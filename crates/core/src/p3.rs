@@ -67,8 +67,8 @@ use crate::error::{ProtocolError, Result};
 use crate::feed::{extract_touches, CommitEventSink, FeedWriter, StagedTouches};
 use crate::layout::{object_metadata, parse_object_metadata};
 use crate::protocol::{
-    detect_coupling, item_to_records, records_to_item, retry, CouplingCheck, FlushBatch,
-    ProtocolConfig, ProvenanceStore, ReadResult, StorageProtocol,
+    detect_coupling, fan_out, item_to_records, records_to_item, retry, CouplingCheck, FlushBatch,
+    ProtocolConfig, ProvenanceStore, ReadResult, StorageProtocol, Task,
 };
 
 /// Room reserved in each WAL message for the `TXN` header line.
@@ -516,31 +516,6 @@ fn copy_into_place(
     Err(ProtocolError::CommitStalled(format!(
         "temp object {temp} for txn {txn} never became copyable"
     )))
-}
-
-/// Fetches one CAS hash's records from the shared registry with the same
-/// bounded visibility-retry discipline as [`copy_into_place`]: the
-/// registry is eventually consistent, and the publish happened strictly
-/// before the WAL reference, so a short wait closes the common race.
-/// `Ok(None)` — never visible within the budget, or a malformed item —
-/// evicts the referencing member (redelivery retries the whole group
-/// member); hard cloud errors propagate.
-fn fetch_cas_records(
-    env: &CloudEnv,
-    config: &ProtocolConfig,
-    sha: &str,
-) -> Result<Option<Vec<ProvenanceRecord>>> {
-    let sim = env.sim();
-    let sdb = env.sdb().with_actor(Actor::CommitDaemon);
-    let registry = cas::cas_domain(&config.layout.domain);
-    for _ in 0..config.retries.max(1) + 8 {
-        let attrs = retry(sim, config.retries, || sdb.get_attributes(&registry, sha))?;
-        if !attrs.is_empty() {
-            return Ok(cas::decode_registry_item(&attrs).map(|(_, _, _, records)| records));
-        }
-        sim.sleep(Duration::from_secs(1));
-    }
-    Ok(None)
 }
 
 /// The two write phases of one group commit, in execution order: every
@@ -998,18 +973,17 @@ impl CommitDaemon {
                 .collect()
         };
         if !needed.is_empty() {
-            let mut tasks: Vec<CasFetchTask> = Vec::new();
-            for sha in &needed {
-                let env = self.env.clone();
-                let config = self.config.clone();
-                let sha = sha.clone();
-                tasks.push(Box::new(move || fetch_cas_records(&env, &config, &sha)));
-            }
-            let mut fetched: BTreeMap<String, Vec<ProvenanceRecord>> = BTreeMap::new();
-            for (sha, r) in needed.iter().zip(sim.run_parallel(par, tasks)) {
-                if let Some(records) = r? {
-                    fetched.insert(sha.clone(), records);
-                }
+            let tasks: Vec<Task<Result<cas::Fetched>>> = needed
+                .chunks(cas::CAS_SELECT_HASHES)
+                .map(|chunk| {
+                    let (env, config, chunk) =
+                        (self.env.clone(), self.config.clone(), chunk.to_vec());
+                    Box::new(move || cas::fetch_records(&env, &config, &chunk)) as Task<_>
+                })
+                .collect();
+            let mut fetched = cas::Fetched::new();
+            for r in fan_out(sim, par, tasks) {
+                fetched.extend(r?);
             }
             for (ti, t) in txns.iter_mut().enumerate() {
                 for sha in &t.cas_shas {
@@ -1422,9 +1396,6 @@ impl CommitDaemon {
         DaemonHandle { stop, handle }
     }
 }
-
-/// One CAS-blob fetch, boxed for `Sim::run_parallel`.
-type CasFetchTask = Box<dyn FnOnce() -> Result<Option<Vec<ProvenanceRecord>>> + Send>;
 
 type ParsedHeader = (Uuid, usize, usize, Option<TenantId>, String);
 

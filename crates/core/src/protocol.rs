@@ -375,6 +375,24 @@ pub fn retry_cloud<T>(
 /// Crate-internal alias: protocol code predates the public name.
 pub(crate) use retry_cloud as retry;
 
+/// One unit of work for [`fan_out`].
+pub(crate) type Task<T> = Box<dyn FnOnce() -> T + Send>;
+
+/// Runs `tasks` over at most `concurrency` simulated connections and
+/// returns their results in order. A lone task runs on the calling
+/// thread rather than on a spawned one.
+pub(crate) fn fan_out<T: Send + 'static>(
+    sim: &Sim,
+    concurrency: usize,
+    mut tasks: Vec<Task<T>>,
+) -> Vec<T> {
+    match tasks.len() {
+        0 => Vec::new(),
+        1 => vec![tasks.pop().expect("one task")()],
+        _ => sim.run_parallel(concurrency, tasks),
+    }
+}
+
 /// Converts one node's records into a SimpleDB item, spilling values above
 /// the 1 KB attribute limit into S3 (shared by P2's client path and P3's
 /// commit daemon; `s3` determines which actor pays for the spill PUTs).

@@ -417,6 +417,9 @@ mod tests {
             "B's shared ancestor hits the store; only its own output publishes"
         );
         assert!(sb.cas_hits >= 1, "the hit is observable in B's counters");
+        // Each flush's publishes register in one BatchPutAttributes.
+        assert_eq!(sa.cas_register_calls, 1, "A's two hashes share one request");
+        assert_eq!(sb.cas_register_calls, 1);
         // Three unique contents → exactly three stored CAS objects: the
         // shared ancestor's bytes exist once, fleet-wide.
         let cas_objects = env.s3().list_all("data", "cas/").unwrap();
@@ -425,7 +428,7 @@ mod tests {
         assert!(
             env.usage()
                 .tenant_view(TenantId(1))
-                .get(Actor::Client, Service::Database, Op::DbGet)
+                .get(Actor::Client, Service::Database, Op::DbSelect)
                 .count
                 > 0
         );

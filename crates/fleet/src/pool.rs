@@ -173,9 +173,15 @@ impl PoolShared {
                 if let Some(sink) = self.sink.lock().clone() {
                     d.set_event_sink(sink);
                 }
-                let shared = self.clone();
+                // Weak: the daemon (owned by `daemons`) holds this
+                // listener, so a strong handle would be a cycle that
+                // keeps the pool, its daemons and their cloud alive.
+                let shared = Arc::downgrade(self);
                 let sim = env.sim().clone();
                 d.set_commit_listener(Arc::new(move |txn| {
+                    let Some(shared) = shared.upgrade() else {
+                        return;
+                    };
                     shared.committed.fetch_add(1, Ordering::Relaxed);
                     if shared.committed_txns.lock().insert(txn) {
                         shared.commit_times.lock().push((txn, sim.now()));
@@ -609,6 +615,47 @@ mod tests {
                 "f{i} must be committed"
             );
         }
+    }
+
+    #[test]
+    fn a_stopped_pool_frees_its_daemons() {
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::instant());
+        let router = Arc::new(ShardRouter::provision(&env, 2));
+        for i in 0..4u32 {
+            let client = shard_client(&env, &router, i % 2, &format!("c{i}"));
+            flush_one(&client, 3000 + u128::from(i), &format!("f{i}"));
+        }
+        let board = LeaseBoard::provision(&env, 2, Duration::from_secs(60));
+        let pool = DaemonPool::spawn(
+            &env,
+            ProtocolConfig::default(),
+            router.clone(),
+            board,
+            PoolConfig {
+                daemons: 2,
+                poll_interval: Duration::from_secs(2),
+                ..PoolConfig::default()
+            },
+        );
+        let deadline = sim.now() + Duration::from_secs(600);
+        while router.total_depth(&env) > 0 && sim.now() < deadline {
+            sim.sleep(Duration::from_secs(5));
+        }
+        let daemons: Vec<_> = pool
+            .shared
+            .daemons
+            .lock()
+            .values()
+            .map(Arc::downgrade)
+            .collect();
+        assert!(!daemons.is_empty());
+        assert_eq!(pool.stop().committed, 4);
+        drop((router, env));
+        assert!(
+            daemons.iter().all(|d| d.upgrade().is_none()),
+            "a commit listener must not keep its daemon alive"
+        );
     }
 
     #[test]
