@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 
 use cloudprov_cloud::{AwsProfile, Blob, CloudEnv, DEFAULT_VISIBILITY_TIMEOUT};
 use cloudprov_core::cas::canonical_encoding;
-use cloudprov_core::index::audit_index;
+use cloudprov_core::index::{audit_index, index_domain};
 use cloudprov_core::properties::{causal_report, load_all_records};
 use cloudprov_core::{
     audit_feed, cas_domain, kill_at_occurrence, sha256_hex, CommitDaemon, CouplingCheck,
@@ -39,7 +39,10 @@ use cloudprov_sim::Sim;
 /// The group-commit crash points this module aims at, with the
 /// occurrence each schedule kills: the *second* DB chunk models a death
 /// between two cross-transaction chunks; the first index / GC / ack
-/// crossings model deaths at each phase barrier.
+/// crossings model deaths at each phase barrier. The group's index
+/// entries pack into one item, written by one call, so `index#1` is the
+/// only index crossing the group has: a death there lands after every
+/// base chunk and before any index pair.
 pub const GROUP_CRASH_POINTS: &[(&str, u64)] = &[
     ("p3:commit:group:db", 1),
     ("p3:commit:group:db", 2),
@@ -63,6 +66,10 @@ pub struct GroupCrashOutcome {
     pub fired: bool,
     /// Transactions the dying daemon acknowledged before the kill.
     pub committed_before: u64,
+    /// Base provenance items stored when the dying daemon stopped.
+    pub base_items_at_crash: usize,
+    /// Ancestry-index items stored when the dying daemon stopped.
+    pub index_items_at_crash: usize,
     /// Distinct transactions committed across both daemons.
     pub unique_committed: u64,
     /// Transactions committed more than once (must be 0).
@@ -192,6 +199,9 @@ pub fn run_group_crash(step: &'static str, occurrence: u64) -> GroupCrashOutcome
     // drains cleanly instead and is reported via `fired`.
     let crashed = matches!(dying.run_until_idle(), Err(ProtocolError::Crashed { .. }));
     let committed_before = dying.committed_transactions();
+    let layout = Layout::default();
+    let base_items_at_crash = env.sdb().peek_item_count(&layout.domain);
+    let index_items_at_crash = env.sdb().peek_item_count(&index_domain(&layout.domain));
     sim.sleep(DEFAULT_VISIBILITY_TIMEOUT + Duration::from_secs(1));
     let recovery = CommitDaemon::new(&env, ProtocolConfig::default(), &url);
     register(&recovery);
@@ -199,7 +209,6 @@ pub fn run_group_crash(step: &'static str, occurrence: u64) -> GroupCrashOutcome
 
     let ids = committed_ids.lock().clone();
     let distinct: BTreeSet<Uuid> = ids.iter().copied().collect();
-    let layout = Layout::default();
     let reader = P3::with_identity(&env, ProtocolConfig::default(), queue, "reader");
     let mut uncoupled = 0;
     for i in 0..TXNS {
@@ -214,6 +223,8 @@ pub fn run_group_crash(step: &'static str, occurrence: u64) -> GroupCrashOutcome
         occurrence,
         fired: crashed && fired.load(Ordering::Relaxed),
         committed_before,
+        base_items_at_crash,
+        index_items_at_crash,
         unique_committed: distinct.len() as u64,
         double_commits: (ids.len() - distinct.len()) as u64,
         uncoupled,
@@ -645,6 +656,19 @@ mod tests {
                 o.occurrence,
                 o.violations()
             );
+            // Where each death leaves the store: the db kills before any
+            // index pair, the index kill after every base chunk but
+            // before the group's one index item, the gc / ack kills
+            // after both.
+            let (base, index) = (o.base_items_at_crash, o.index_items_at_crash);
+            match (o.step, o.occurrence) {
+                ("p3:commit:group:db", 1) => assert_eq!((base, index), (0, 0), "{o:#?}"),
+                ("p3:commit:group:db", 2) | ("p3:commit:group:index", 1) => {
+                    assert!(base > 0 && index == 0, "{o:#?}");
+                }
+                _ => assert!(base > 0 && index == 1, "{o:#?}"),
+            }
+            assert_eq!(o.committed_before, 0, "{o:#?}");
         }
     }
 

@@ -644,6 +644,22 @@ impl Database {
             .unwrap_or_default()
     }
 
+    /// Bytes of the committed items' names, attribute names and values
+    /// in a domain — the size fields of SimpleDB's free `DomainMetadata`
+    /// call, unmetered like [`Database::peek_item_count`].
+    pub fn peek_domain_bytes(&self, domain: &str) -> u64 {
+        let st = self.state.lock();
+        st.domains
+            .get(domain)
+            .map(|d| {
+                d.items
+                    .iter()
+                    .filter_map(|(name, h)| h.latest().map(|a| name.len() as u64 + attrs_size(a)))
+                    .sum()
+            })
+            .unwrap_or(0)
+    }
+
     /// Instrumentation: number of committed items in a domain.
     pub fn peek_item_count(&self, domain: &str) -> usize {
         let st = self.state.lock();
@@ -1019,6 +1035,11 @@ mod tests {
         let items = vec![item("a", &[("x", "1")]), item("b", &[("x", "2")])];
         db.batch_put_attributes("prov", items).unwrap();
         assert_eq!(db.peek_item_count("prov"), 2);
+        // Names, attribute names and values: "a" + "x" + "1", twice.
+        assert_eq!(db.peek_domain_bytes("prov"), 6);
+        db.delete_item("prov", "a").unwrap();
+        assert_eq!(db.peek_domain_bytes("prov"), 3);
+        assert_eq!(db.peek_domain_bytes("absent"), 0);
     }
 }
 

@@ -9,118 +9,132 @@
 //! module treats the queryable lineage graph itself as a first-class
 //! artifact: P3's commit daemon maintains, in the same commit step that
 //! writes provenance items, a lean *ancestry index* in a sibling domain
-//! (`{domain}_idx`) holding nothing but the graph structure:
+//! (`{domain}_idx`) holding nothing but the graph structure, as a set of
+//! [`IndexEntry`]s:
 //!
-//! * **Reverse-edge items** `rev_{ancestor}~{b}` — one item per
-//!   (ancestor node, bucket): multi-valued attribute `out` lists the
-//!   nodes carrying an `input` edge to the ancestor, and `file` repeats
-//!   the subset of those that are files (Q.3's `type = 'file'` filter,
-//!   resolved at commit time). Buckets spread one ancestor's fan-in over
-//!   [`REV_BUCKETS`] items so a hub node cannot silently overflow the
-//!   service's 256-attribute item limit.
-//! * **Program items** `name_{program}~{b}` — multi-valued attribute
-//!   `proc` lists the process nodes named `program` (Q.3/Q.4's seed
-//!   lookup).
+//! * **Edges** — a dependent carries an `input` edge to an ancestor,
+//!   marked when the dependent is a file (Q.3's `type = 'file'` filter,
+//!   resolved at commit time);
+//! * **Seeds** — a process node is named after a program (Q.3/Q.4's
+//!   seed lookup).
 //!
-//! Every update is derived **purely from the records of one committed
-//! transaction** — a dependent's `type` travels with its `input` edges,
-//! and a process's `name` travels with its `type` — so index writes are
-//! order-free across transactions, idempotent under redelivery
-//! (SimpleDB deduplicates exact attribute pairs), and crash-safe: the
-//! daemon writes the group's base items, then the index
-//! (`p3:commit:group:index`), then acknowledges the WAL, so a crash
-//! between base and index write leaves unacknowledged transactions
-//! whose recommit rewrites both.
+//! **One packed item per group.** SimpleDB charges a server slot per
+//! *item* written (~310 ms in the calibrated profile), whatever the item
+//! holds, so the daemon does not write an item per ancestor: it packs the
+//! merged entry set of a whole commit group into as few 256-pair items
+//! as fit ([`index_items`]) — usually one or two per group. An item lists
+//! its ancestors in a multi-valued `anc` attribute and its programs in a
+//! multi-valued `prog` attribute; each edge is one pair `o{slot}` (or
+//! `f{slot}` for a file dependent) whose value is the dependent, and each
+//! seed is one pair `p{slot}` whose value is the process, where `slot`
+//! is the rank (two hex digits) of the ancestor or program among the
+//! item's own `anc` or `prog` values. A field thus names its key without
+//! repeating it, and `prog` is an equality-SELECT lookup attribute, so a
+//! program's seeds are one `prog = '…'` SELECT away.
+//!
+//! **Idempotent recommits.** Entries are derived **purely from the
+//! records of committed transactions** — a dependent's `type` travels
+//! with its `input` edges, and a process's `name` travels with its
+//! `type` — and packing is a pure function of the entry set, with each
+//! item named by the SHA-256 of its packed pairs. A recommitted group
+//! re-puts identical pairs into identically named items (SimpleDB
+//! deduplicates exact pairs), and two different sets never merge into
+//! one item, where the pair cap could truncate either. A recommit whose
+//! group came out differently writes its entries again in other items;
+//! readers take the union, so a duplicate entry is harmless.
+//!
+//! **No buckets.** A hub ancestor's fan-in used to be spread over a fixed
+//! number of per-ancestor items so one node could not overflow the
+//! 256-pair item limit. Packed items have no per-node item to overflow:
+//! an ancestor whose edges do not fit in one item continues in the next,
+//! with its id repeated in that item's `anc` list.
+//!
+//! **Crash safety.** The daemon writes the group's base items, then the
+//! index (`p3:commit:group:index`), then acknowledges the WAL, so a
+//! crash between base and index write leaves unacknowledged
+//! transactions whose recommit rewrites both.
 //!
 //! [`audit_index`] is the machine-checked invariant: rebuild the
-//! expected index from the committed base records and diff it against
-//! the stored index, attribute pair by attribute pair. The chaos
-//! explorer runs it after every crash/recovery schedule.
+//! expected entry set from the committed base records and diff it
+//! against the entries the stored items decode to. The chaos explorer
+//! runs it after every crash/recovery schedule.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use cloudprov_cloud::{Attributes, CloudEnv, PutItem, ATTRIBUTE_LIMIT};
-use cloudprov_pass::{Attr, NodeKind, PNodeId, ProvenanceRecord};
+use cloudprov_cloud::{Attributes, CloudEnv, PutItem, ATTRIBUTE_LIMIT, ITEM_ATTR_LIMIT};
+use cloudprov_pass::{Attr, AttrValue, NodeKind, PNodeId, ProvenanceRecord};
 
+use crate::cas::sha256_hex;
 use crate::layout::Layout;
 use crate::protocol::item_to_records;
 
 /// Suffix appended to the provenance domain to name the index domain.
 pub const INDEX_SUFFIX: &str = "_idx";
 
-/// Buckets one ancestor's reverse edges are spread over (fan-in beyond
-/// `REV_BUCKETS × 256` attribute pairs would overflow the item limit; 4
-/// buckets give headroom of ~1000 direct dependents per node, far above
-/// any workload here — [`audit_index`] catches it if one ever exceeds
-/// that).
-pub const REV_BUCKETS: u64 = 4;
+/// Multi-valued attribute listing the ancestors an item holds edges of.
+pub const ATTR_ANC: &str = "anc";
+/// Multi-valued attribute listing the programs an item holds seeds of
+/// (the seed lookup key).
+pub const ATTR_PROG: &str = "prog";
 
-/// Attribute listing a node's direct dependents (reverse `input` edges).
-pub const ATTR_OUT: &str = "out";
-/// Attribute listing the *file* subset of a node's direct dependents.
-pub const ATTR_FILE: &str = "file";
-/// Attribute listing the process nodes carrying a program name.
-pub const ATTR_PROC: &str = "proc";
-
-/// Item-name prefix of reverse-edge items.
-pub const REV_PREFIX: &str = "rev_";
-/// Item-name prefix of program items.
-pub const NAME_PREFIX: &str = "name_";
+/// Field tag of an edge whose dependent is not a file.
+const TAG_OUT: char = 'o';
+/// Field tag of an edge whose dependent is a file.
+const TAG_FILE: char = 'f';
+/// Field tag of a program seed.
+const TAG_PROC: char = 'p';
 
 /// Name of the ancestry-index domain for a provenance domain.
 pub fn index_domain(domain: &str) -> String {
     format!("{domain}{INDEX_SUFFIX}")
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+/// One entry of the ancestry index.
+///
+/// Ordered edges first (by ancestor, then dependent), then seeds (by
+/// program, then process): the order [`index_items`] packs in.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum IndexEntry {
+    /// `dependent` carries an `input` edge to `ancestor`.
+    Edge {
+        /// The node the edge points to.
+        ancestor: PNodeId,
+        /// The node carrying the edge.
+        dependent: PNodeId,
+        /// Whether the dependent is a file.
+        file: bool,
+    },
+    /// Process `process` is named `program`.
+    Seed {
+        /// The program name.
+        program: String,
+        /// The process node.
+        process: PNodeId,
+    },
+}
+
+impl IndexEntry {
+    /// The node whose own commit wrote this entry: the dependent of an
+    /// edge, the process of a seed. (An edge's ancestor may commit on
+    /// another shard, in any order.)
+    pub fn committed_node(&self) -> PNodeId {
+        match self {
+            IndexEntry::Edge { dependent, .. } => *dependent,
+            IndexEntry::Seed { process, .. } => *process,
+        }
     }
-    h
 }
 
-fn bucket_of(dependent: PNodeId) -> u64 {
-    fnv64(dependent.to_string().as_bytes()) % REV_BUCKETS
-}
-
-/// Item name of the reverse-edge bucket holding `dependent`'s edge to
-/// `ancestor`.
-pub fn rev_item_name(ancestor: PNodeId, dependent: PNodeId) -> String {
-    format!("{REV_PREFIX}{ancestor}~{}", bucket_of(dependent))
-}
-
-/// The ancestor a reverse-edge item name refers to.
-pub fn parse_rev_item(name: &str) -> Option<PNodeId> {
-    let rest = name.strip_prefix(REV_PREFIX)?;
-    let (id, _bucket) = rest.rsplit_once('~')?;
-    id.parse().ok()
-}
-
-/// Item name of the program bucket holding process `proc` under
-/// `program`.
-pub fn name_item_name(program: &str, proc: PNodeId) -> String {
-    format!("{NAME_PREFIX}{program}~{}", bucket_of(proc))
-}
-
-/// The program a program item name refers to.
-pub fn parse_name_item(name: &str) -> Option<&str> {
-    let rest = name.strip_prefix(NAME_PREFIX)?;
-    let (program, _bucket) = rest.rsplit_once('~')?;
-    Some(program)
-}
-
-/// Derives the index writes for one committed transaction's records.
+/// Derives the index entries of one record set.
 ///
 /// Pure function: callers (the commit daemon, the audit) feed it record
-/// sets and get `PutItem`s for the index domain. Edges considered are
-/// `input` cross-references — the exact edge set the SELECT
-/// frontier-expansion path expands — and a dependent is `file`-marked
-/// when its own `type` record rides in the same record set (which it
-/// always does: a version's `type` is stamped when the version is
-/// created, before any of its edges).
-pub fn index_updates(records: &[ProvenanceRecord]) -> Vec<PutItem> {
+/// sets and get the entries the index must hold for them. Edges
+/// considered are `input` cross-references — the exact edge set the
+/// SELECT frontier-expansion path expands — and a dependent is
+/// file-marked when its own `type` record rides in the same record set
+/// (which it always does: a version's `type` is stamped when the version
+/// is created, before any of its edges).
+pub fn index_updates(records: &[ProvenanceRecord]) -> BTreeSet<IndexEntry> {
     let mut kinds: BTreeMap<PNodeId, NodeKind> = BTreeMap::new();
     let mut names: BTreeMap<PNodeId, &str> = BTreeMap::new();
     for r in records {
@@ -139,7 +153,7 @@ pub fn index_updates(records: &[ProvenanceRecord]) -> Vec<PutItem> {
             // make the commit-time writer (which sees the raw record)
             // and the audit (which sees the spilled base item) disagree.
             // Both forms are skipped.
-            (Attr::Name, cloudprov_pass::AttrValue::Text(n))
+            (Attr::Name, AttrValue::Text(n))
                 if n.len() <= ATTRIBUTE_LIMIT && !n.starts_with("@s3:") =>
             {
                 names.insert(r.subject, n.as_str());
@@ -147,7 +161,7 @@ pub fn index_updates(records: &[ProvenanceRecord]) -> Vec<PutItem> {
             _ => {}
         }
     }
-    let mut items: BTreeMap<String, Attributes> = BTreeMap::new();
+    let mut entries = BTreeSet::new();
     for r in records {
         if r.attr != Attr::Input {
             continue;
@@ -155,94 +169,168 @@ pub fn index_updates(records: &[ProvenanceRecord]) -> Vec<PutItem> {
         let Some(ancestor) = r.value.as_xref() else {
             continue;
         };
-        let dependent = r.subject;
-        let attrs = items.entry(rev_item_name(ancestor, dependent)).or_default();
-        let dep = dependent.to_string();
-        attrs.push((ATTR_OUT.to_string(), dep.clone()));
-        if kinds.get(&dependent) == Some(&NodeKind::File) {
-            attrs.push((ATTR_FILE.to_string(), dep));
-        }
+        entries.insert(IndexEntry::Edge {
+            ancestor,
+            dependent: r.subject,
+            file: kinds.get(&r.subject) == Some(&NodeKind::File),
+        });
     }
     for (node, kind) in &kinds {
         if *kind != NodeKind::Process {
             continue;
         }
-        let Some(name) = names.get(node) else {
-            continue;
-        };
-        items
-            .entry(name_item_name(name, *node))
-            .or_default()
-            .push((ATTR_PROC.to_string(), node.to_string()));
-    }
-    items
-        .into_iter()
-        .map(|(name, attrs)| PutItem {
-            name,
-            attrs,
-            replace: false,
-        })
-        .collect()
-}
-
-/// Coalesces index writes from several transactions of one commit group.
-///
-/// Two transactions touching the same ancestor (or the same program
-/// name) in the same bucket produce `PutItem`s with the same item name;
-/// writing them as one merged item is byte-equivalent in the store
-/// (SimpleDB accumulates multi-valued attributes and deduplicates exact
-/// `(name, value)` repeats) but saves the per-item box time of writing
-/// the shared rows twice. Order-free and idempotent like the underlying
-/// updates, so recommitting a partially merged group converges.
-pub fn merge_index_items(items: Vec<PutItem>) -> Vec<PutItem> {
-    let mut merged: BTreeMap<String, Attributes> = BTreeMap::new();
-    for item in items {
-        let attrs = merged.entry(item.name).or_default();
-        for (a, v) in item.attrs {
-            if !attrs.iter().any(|(ea, ev)| *ea == a && *ev == v) {
-                attrs.push((a, v));
-            }
+        if let Some(name) = names.get(node) {
+            entries.insert(IndexEntry::Seed {
+                program: (*name).to_string(),
+                process: *node,
+            });
         }
     }
-    merged
-        .into_iter()
-        .map(|(name, attrs)| PutItem {
-            name,
-            attrs,
+    entries
+}
+
+/// Packs `entries` into as few items as the 256-pair limit allows, in
+/// entry order: each edge or seed is one pair, plus one `anc` / `prog`
+/// pair per key an item holds entries of (see the module docs). Each
+/// item is named by the SHA-256 of its pairs, so the same entry set
+/// always packs into the same items.
+pub fn index_items(entries: &BTreeSet<IndexEntry>) -> Vec<PutItem> {
+    let mut items = Vec::new();
+    let mut attrs: Attributes = Vec::new();
+    let seal = |attrs: &mut Attributes, items: &mut Vec<PutItem>| {
+        if attrs.is_empty() {
+            return;
+        }
+        let mut content = String::new();
+        for (k, v) in attrs.iter() {
+            content.push_str(k);
+            content.push('=');
+            content.push_str(v);
+            content.push('\n');
+        }
+        items.push(PutItem {
+            name: sha256_hex(content.as_bytes()),
+            attrs: std::mem::take(attrs),
             replace: false,
-        })
-        .collect()
+        });
+    };
+    // The key attribute and value the last field belongs to, and that
+    // key's slot: its rank among the item's keys of the same attribute
+    // (edges sort before seeds, so each attribute's keys are contiguous).
+    let mut current: Option<(&str, String)> = None;
+    let mut slot = 0usize;
+    for entry in entries {
+        let (key_attr, key, tag, value) = match entry {
+            IndexEntry::Edge {
+                ancestor,
+                dependent,
+                file,
+            } => (
+                ATTR_ANC,
+                ancestor.to_string(),
+                if *file { TAG_FILE } else { TAG_OUT },
+                dependent,
+            ),
+            IndexEntry::Seed { program, process } => {
+                (ATTR_PROG, program.clone(), TAG_PROC, process)
+            }
+        };
+        let same_key = current
+            .as_ref()
+            .is_some_and(|(a, k)| *a == key_attr && *k == key);
+        if attrs.len() + if same_key { 1 } else { 2 } > ITEM_ATTR_LIMIT {
+            seal(&mut attrs, &mut items);
+            current = None;
+        }
+        if current.is_none() || !same_key {
+            slot = match &current {
+                Some((a, _)) if *a == key_attr => slot + 1,
+                _ => 0,
+            };
+            attrs.push((key_attr.to_string(), key.clone()));
+            current = Some((key_attr, key));
+        }
+        attrs.push((format!("{tag}{slot:02x}"), value.to_string()));
+    }
+    seal(&mut attrs, &mut items);
+    items
+}
+
+/// Decodes one stored index item back into its entries. `None` when a
+/// pair does not decode (an item no commit daemon wrote).
+pub fn decode_index_item(attrs: &[(String, String)]) -> Option<Vec<IndexEntry>> {
+    let mut ancestors: Vec<PNodeId> = Vec::new();
+    let mut programs: Vec<&str> = Vec::new();
+    for (k, v) in attrs {
+        match k.as_str() {
+            ATTR_ANC => ancestors.push(v.parse().ok()?),
+            ATTR_PROG => programs.push(v),
+            _ => {}
+        }
+    }
+    // SimpleDB attributes are unordered: slots are ranks, restored by
+    // sorting the keys the same way `index_items` visited them.
+    ancestors.sort_unstable();
+    ancestors.dedup();
+    programs.sort_unstable();
+    programs.dedup();
+    let mut entries = Vec::new();
+    for (k, v) in attrs {
+        if k == ATTR_ANC || k == ATTR_PROG {
+            continue;
+        }
+        let mut chars = k.chars();
+        let tag = chars.next()?;
+        let slot = usize::from_str_radix(chars.as_str(), 16).ok()?;
+        let node: PNodeId = v.parse().ok()?;
+        entries.push(match tag {
+            TAG_OUT | TAG_FILE => IndexEntry::Edge {
+                ancestor: *ancestors.get(slot)?,
+                dependent: node,
+                file: tag == TAG_FILE,
+            },
+            TAG_PROC => IndexEntry::Seed {
+                program: (*programs.get(slot)?).to_string(),
+                process: node,
+            },
+            _ => return None,
+        });
+    }
+    Some(entries)
 }
 
 /// Outcome of an index ↔ base-record consistency audit.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexAudit {
-    /// `(item, attr, value)` triples derivable from the base records but
-    /// absent from the index — a commit that wrote provenance without its
-    /// index entries.
-    pub missing: Vec<(String, String, String)>,
-    /// Triples present in the index but not derivable from the base —
+    /// Entries derivable from the base records but absent from the
+    /// index — a commit that wrote provenance without its index entries.
+    pub missing: Vec<IndexEntry>,
+    /// Entries present in the index but not derivable from the base —
     /// phantom entries describing provenance that never committed.
-    pub unexpected: Vec<(String, String, String)>,
-    /// Attribute pairs the stored index holds.
+    pub unexpected: Vec<IndexEntry>,
+    /// Stored items whose pairs do not decode.
+    pub malformed: Vec<String>,
+    /// Distinct entries the stored index holds (an entry stored in two
+    /// groups' items counts once).
     pub entries: usize,
 }
 
 impl IndexAudit {
     /// True when the index and the base records agree exactly.
     pub fn consistent(&self) -> bool {
-        self.missing.is_empty() && self.unexpected.is_empty()
+        self.inconsistencies() == 0
     }
 
     /// Total disagreements (the chaos explorer's violation count).
     pub fn inconsistencies(&self) -> usize {
-        self.missing.len() + self.unexpected.len()
+        self.missing.len() + self.unexpected.len() + self.malformed.len()
     }
 }
 
 /// Diffs the stored ancestry index against what the committed base
-/// records imply. Instrumentation-path only (peeks bypass metering and
-/// consistency): this is the invariant checker, not a query path.
+/// records imply, entry by distinct entry. Instrumentation-path only
+/// (peeks bypass metering and consistency): this is the invariant
+/// checker, not a query path.
 pub fn audit_index(env: &CloudEnv, layout: &Layout) -> IndexAudit {
     let base: Vec<ProvenanceRecord> = env
         .sdb()
@@ -250,43 +338,56 @@ pub fn audit_index(env: &CloudEnv, layout: &Layout) -> IndexAudit {
         .iter()
         .flat_map(|(name, attrs)| item_to_records(name, attrs))
         .collect();
-    let mut expected: BTreeMap<(String, String, String), ()> = BTreeMap::new();
-    for item in index_updates(&base) {
-        for (a, v) in item.attrs {
-            expected.insert((item.name.clone(), a, v), ());
-        }
-    }
+    let expected = index_updates(&base);
     let mut audit = IndexAudit::default();
-    let mut actual: BTreeMap<(String, String, String), ()> = BTreeMap::new();
+    let mut actual: BTreeSet<IndexEntry> = BTreeSet::new();
     for (name, attrs) in env.sdb().peek_items(&index_domain(&layout.domain)) {
-        for (a, v) in attrs {
-            actual.insert((name.clone(), a, v), ());
+        match decode_index_item(&attrs) {
+            Some(entries) => actual.extend(entries),
+            None => audit.malformed.push(name),
         }
     }
     audit.entries = actual.len();
-    for key in expected.keys() {
-        if !actual.contains_key(key) {
-            audit.missing.push(key.clone());
-        }
-    }
-    for key in actual.keys() {
-        if !expected.contains_key(key) {
-            audit.unexpected.push(key.clone());
-        }
-    }
+    audit.missing = expected.difference(&actual).cloned().collect();
+    audit.unexpected = actual.difference(&expected).cloned().collect();
     audit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudprov_cloud::BATCH_LIMIT;
     use cloudprov_pass::Uuid;
+    use proptest::prelude::*;
 
     fn nid(n: u128, v: u32) -> PNodeId {
         PNodeId {
             uuid: Uuid(n),
             version: v,
         }
+    }
+
+    fn edge(ancestor: PNodeId, dependent: PNodeId, file: bool) -> IndexEntry {
+        IndexEntry::Edge {
+            ancestor,
+            dependent,
+            file,
+        }
+    }
+
+    fn seed(program: &str, process: PNodeId) -> IndexEntry {
+        IndexEntry::Seed {
+            program: program.to_string(),
+            process,
+        }
+    }
+
+    /// The entry set the stored `items` decode to.
+    fn decoded(items: &[PutItem]) -> BTreeSet<IndexEntry> {
+        items
+            .iter()
+            .flat_map(|i| decode_index_item(&i.attrs).expect("packed items decode"))
+            .collect()
     }
 
     /// proc(2, "gen") reads file(1); file(3) written by proc(2).
@@ -304,42 +405,31 @@ mod tests {
 
     #[test]
     fn updates_cover_reverse_edges_and_program_seeds() {
-        let items = index_updates(&txn_records());
-        // rev item for file(1) lists proc(2) as a non-file dependent.
-        let rev1 = items
-            .iter()
-            .find(|i| parse_rev_item(&i.name) == Some(nid(1, 1)))
-            .expect("rev item for the read file");
-        assert!(rev1
-            .attrs
-            .contains(&(ATTR_OUT.into(), nid(2, 1).to_string())));
-        assert!(!rev1.attrs.iter().any(|(a, _)| a == ATTR_FILE));
-        // rev item for proc(2) lists file(3) as a file dependent.
-        let rev2 = items
-            .iter()
-            .find(|i| parse_rev_item(&i.name) == Some(nid(2, 1)))
-            .expect("rev item for the process");
-        assert!(rev2
-            .attrs
-            .contains(&(ATTR_FILE.into(), nid(3, 1).to_string())));
-        // name item seeds Q.3 for "gen".
-        let name = items
-            .iter()
-            .find(|i| parse_name_item(&i.name) == Some("gen"))
-            .expect("program item");
-        assert!(name
-            .attrs
-            .contains(&(ATTR_PROC.into(), nid(2, 1).to_string())));
-        // Files with names do NOT get program items.
-        assert!(!items
-            .iter()
-            .any(|i| parse_name_item(&i.name) == Some("/out")));
+        let entries = index_updates(&txn_records());
+        // file(1) lists proc(2) as a non-file dependent; proc(2) lists
+        // file(3) as a file dependent; "gen" seeds Q.3 with proc(2).
+        // Files with names do NOT become seeds, and nothing else is
+        // indexed.
+        let want: BTreeSet<IndexEntry> = [
+            edge(nid(1, 1), nid(2, 1), false),
+            edge(nid(2, 1), nid(3, 1), true),
+            seed("gen", nid(2, 1)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(entries, want);
+        // The packed item carries exactly those entries.
+        let items = index_items(&entries);
+        assert_eq!(items.len(), 1);
+        assert_eq!(decoded(&items), want);
+        assert!(!items[0].attrs.iter().any(|(_, v)| v == "/out"));
     }
 
     #[test]
     fn updates_are_a_pure_function() {
         assert_eq!(index_updates(&txn_records()), index_updates(&txn_records()));
         assert!(index_updates(&[]).is_empty());
+        assert!(index_items(&BTreeSet::new()).is_empty());
     }
 
     #[test]
@@ -362,56 +452,127 @@ mod tests {
     }
 
     #[test]
-    fn item_names_roundtrip() {
-        let a = nid(7, 3);
-        let d = nid(9, 1);
-        assert_eq!(parse_rev_item(&rev_item_name(a, d)), Some(a));
-        assert_eq!(
-            parse_name_item(&name_item_name("bl~ast", d)),
-            Some("bl~ast")
-        );
-        assert_eq!(parse_rev_item("name_x~0"), None);
-        assert_eq!(parse_name_item("rev_x~0"), None);
-    }
-
-    #[test]
     fn cross_txn_merge_coalesces_shared_items_without_changing_state() {
-        // Two transactions whose dependents share an ancestor bucket
-        // merge into one item; distinct pairs survive, exact repeats
+        // Two transactions sharing an ancestor pack into fewer items as
+        // one group than apart; distinct entries survive, exact repeats
         // (a redelivered transaction in the same group) deduplicate.
         let a_txn = txn_records();
         let mut b_txn = txn_records();
         b_txn.push(ProvenanceRecord::new(nid(4, 1), Attr::Type, "file"));
         b_txn.push(ProvenanceRecord::new(nid(4, 1), Attr::Input, nid(2, 1)));
-        let separate: Vec<PutItem> = index_updates(&a_txn)
+        let separate: Vec<PutItem> = index_items(&index_updates(&a_txn))
             .into_iter()
-            .chain(index_updates(&b_txn))
+            .chain(index_items(&index_updates(&b_txn)))
             .collect();
-        let merged = merge_index_items(separate.clone());
-        assert!(merged.len() < separate.len(), "shared items must coalesce");
-        // Pair-for-pair the merged plan equals the accumulated effect of
-        // the separate writes (SimpleDB dedupes exact repeats anyway).
-        let flatten = |items: &[PutItem]| {
-            let mut set = std::collections::BTreeSet::new();
-            for i in items {
-                for (a, v) in &i.attrs {
-                    set.insert((i.name.clone(), a.clone(), v.clone()));
-                }
-            }
-            set
-        };
-        assert_eq!(flatten(&merged), flatten(&separate));
-        // Idempotent: merging a merge changes nothing.
-        assert_eq!(merge_index_items(merged.clone()), merged);
+        let mut group = index_updates(&a_txn);
+        group.extend(index_updates(&b_txn));
+        let merged = index_items(&group);
+        assert!(
+            merged.len() < separate.len(),
+            "shared entries must coalesce"
+        );
+        // Entry for entry the merged plan equals the accumulated effect
+        // of the separate writes.
+        assert_eq!(decoded(&merged), decoded(&separate));
+        assert_eq!(decoded(&merged), group);
+        // Idempotent: repacking what the items decode to changes nothing.
+        assert_eq!(index_items(&decoded(&merged)), merged);
     }
 
     #[test]
-    fn buckets_spread_fan_in() {
+    fn a_hub_with_thousands_of_dependents_round_trips() {
+        // 1 500 dependents of one hub in one group: its edges span items
+        // (no per-node bucket caps them), and every edge decodes back.
         let hub = nid(42, 1);
-        let names: std::collections::BTreeSet<String> = (0..64u128)
-            .map(|i| rev_item_name(hub, nid(100 + i, 1)))
-            .collect();
-        assert!(names.len() > 1, "fan-in must spread over buckets");
-        assert!(names.len() <= REV_BUCKETS as usize);
+        let mut records = vec![ProvenanceRecord::new(hub, Attr::Type, "file")];
+        for i in 0..1500u128 {
+            let d = nid(1000 + i, 1);
+            let kind = if i % 3 == 0 { "process" } else { "file" };
+            records.push(ProvenanceRecord::new(d, Attr::Type, kind));
+            records.push(ProvenanceRecord::new(d, Attr::Input, hub));
+        }
+        let entries = index_updates(&records);
+        assert_eq!(entries.len(), 1500);
+        let items = index_items(&entries);
+        assert!(
+            items.len() >= 6,
+            "1 500 edges cannot fit in {} items",
+            items.len()
+        );
+        assert!(items.iter().all(|i| i.attrs.len() <= ITEM_ATTR_LIMIT));
+        assert_eq!(decoded(&items), entries);
+    }
+
+    #[test]
+    fn malformed_items_do_not_decode() {
+        let bad = |k: &str, v: &str| vec![(k.to_string(), v.to_string())];
+        assert_eq!(decode_index_item(&bad("o00", "not-a-node")), None);
+        // A field whose slot names no key.
+        assert_eq!(decode_index_item(&bad("o00", &nid(1, 1).to_string())), None);
+        assert_eq!(decode_index_item(&bad("out", &nid(1, 1).to_string())), None);
+        assert_eq!(decode_index_item(&[]), Some(Vec::new()));
+    }
+
+    /// A random record set over a small node pool: types, program names
+    /// and `input` edges, so ancestors and programs repeat across
+    /// entries — plus, with `hub`, 1 001 dependents of one pool node.
+    fn records_from(
+        nodes: &[(u8, u8)],
+        names: &[(u8, u8)],
+        edges: &[(u8, u8)],
+        hub: bool,
+    ) -> Vec<ProvenanceRecord> {
+        let id = |n: u8| nid(u128::from(n % 48), 1 + u32::from(n % 3));
+        let mut records = Vec::new();
+        for &(n, kind) in nodes {
+            let kind = ["file", "process", "pipe"][usize::from(kind % 3)];
+            records.push(ProvenanceRecord::new(id(n), Attr::Type, kind));
+        }
+        for &(n, program) in names {
+            let program = format!("prog-{}", program % 7);
+            records.push(ProvenanceRecord::new(id(n), Attr::Name, program));
+        }
+        for &(d, a) in edges {
+            records.push(ProvenanceRecord::new(id(d), Attr::Input, id(a)));
+        }
+        for i in 0..if hub { 1001 } else { 0 } {
+            let d = nid(1000 + i, 1);
+            records.push(ProvenanceRecord::new(d, Attr::Type, "file"));
+            records.push(ProvenanceRecord::new(d, Attr::Input, id(0)));
+        }
+        records
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Over random record sets (some with a 1 001-dependent hub):
+        /// every packed item fits the pair cap and every write call the
+        /// batch cap; the items decode to
+        /// exactly `index_updates`' entries; and packing again yields
+        /// identical items (so a recommit re-puts identical pairs).
+        #[test]
+        fn packing_is_capped_lossless_and_idempotent(
+            nodes in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..160),
+            names in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..60),
+            edges in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..900),
+            hub in any::<bool>(),
+        ) {
+            let records = records_from(&nodes, &names, &edges, hub);
+            let entries = index_updates(&records);
+            let items = index_items(&entries);
+            for item in &items {
+                prop_assert!(item.attrs.len() <= ITEM_ATTR_LIMIT, "{} pairs", item.attrs.len());
+            }
+            let plan = crate::p3::pack_group_writes(Vec::new(), items.clone(), BATCH_LIMIT, 4);
+            for chunk in &plan.index_chunks {
+                prop_assert!(chunk.len() <= BATCH_LIMIT);
+            }
+            prop_assert_eq!(plan.items(), items.len());
+            prop_assert_eq!(decoded(&items), entries.clone());
+            prop_assert_eq!(index_items(&entries), items.clone());
+            let names: BTreeSet<&str> = items.iter().map(|i| i.name.as_str()).collect();
+            prop_assert_eq!(names.len(), items.len());
+        }
     }
 }

@@ -830,7 +830,8 @@ impl CommitDaemon {
     ///    written over `commit_parallelism` connections (crash point
     ///    `p3:commit:group:db`, once per chunk).
     /// 3. **Index items** — strictly after *every* base chunk, the
-    ///    cross-transaction-merged ancestry-index chunks write the same
+    ///    group's merged ancestry-index entries, packed into as few
+    ///    256-pair items as fit (`index::index_items`), write the same
     ///    way (`p3:commit:group:index`) — the index never describes
     ///    provenance that is not stored, for any member.
     /// 4. **GC** — survivors' temp objects delete in parallel
@@ -852,6 +853,10 @@ impl CommitDaemon {
         }
         let sim = self.env.sim();
         let tracer = self.env.tracer().clone();
+        // The group's own lane keys its phases' ambient scopes, so every
+        // op its fan-outs issue attaches under this group's phase — never
+        // under a phase of another daemon committing at the same time.
+        let _lane = cloudprov_sim::enter_lane();
         let t_group = sim.now();
         let s3 = self.env.s3().with_actor(Actor::CommitDaemon);
         let sdb = self.env.sdb().with_actor(Actor::CommitDaemon);
@@ -1100,11 +1105,11 @@ impl CommitDaemon {
         });
 
         // Phases 2+3: spill oversized values, then pack every survivor's
-        // base items — and the cross-transaction-merged index items —
-        // into full chunks, written in parallel with a hard barrier
-        // between the base and index phases.
+        // base items — and the group's merged index entries, packed into
+        // items — into full chunks, written in parallel with a hard
+        // barrier between the base and index phases.
         let mut base_items: Vec<PutItem> = Vec::new();
-        let mut index_items: Vec<PutItem> = Vec::new();
+        let mut index_entries: BTreeSet<crate::index::IndexEntry> = BTreeSet::new();
         let mut touches: Vec<StagedTouches> = Vec::new();
         for &ti in &survivors {
             // The records are not needed after this phase: move them
@@ -1120,7 +1125,7 @@ impl CommitDaemon {
                 });
             }
             if self.config.index {
-                index_items.extend(crate::index::index_updates(&records));
+                index_entries.extend(crate::index::index_updates(&records));
             }
             let mut by_subject: BTreeMap<PNodeId, Vec<ProvenanceRecord>> = BTreeMap::new();
             for r in records {
@@ -1137,10 +1142,9 @@ impl CommitDaemon {
                 )?);
             }
         }
-        let index_items = crate::index::merge_index_items(index_items);
         let plan = pack_group_writes(
             base_items,
-            index_items,
+            crate::index::index_items(&index_entries),
             self.config.db_batch.clamp(1, BATCH_LIMIT),
             self.config.db_concurrency.max(1),
         );
@@ -1193,7 +1197,9 @@ impl CommitDaemon {
             t_index_end,
         );
         // The `ack` phase span covers the commit tail: temp GC, feed
-        // staging, and the WAL acknowledgement batches.
+        // staging, and the WAL acknowledgement batches. Its `gc` and
+        // `stage` children (under the lead's `ack` only) split the tail;
+        // the acknowledgement batches are the rest.
         let g_ack = lead.and_then(|l| {
             tracer.phase(
                 l.trace,
@@ -1204,6 +1210,19 @@ impl CommitDaemon {
                 t_index_end,
             )
         });
+        let ack_child = |kind: &'static str, start: SimTime| {
+            g_ack.as_ref().and_then(|a| {
+                tracer.phase(
+                    a.ctx().trace,
+                    a.ctx().span,
+                    kind,
+                    None,
+                    Some((SCOPE_COMMIT_DAEMON, None)),
+                    start,
+                )
+            })
+        };
+        let g_gc = ack_child("gc", t_index_end);
 
         // Phase 4: delete the survivors' temp objects. S3 has no batch
         // delete in 2009, so the amortization is the parallel fan-out.
@@ -1232,6 +1251,10 @@ impl CommitDaemon {
         sim.run_parallel(par, tasks)
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
+        let t_gc_end = sim.now();
+        if let Some(g) = g_gc {
+            g.finish(t_gc_end);
+        }
 
         // Phase 4.5: durably stage the group's change-feed events —
         // strictly BEFORE any receipt acknowledges (crash point
@@ -1240,7 +1263,11 @@ impl CommitDaemon {
         // so a consumer can see a transaction's event twice but never
         // miss it (at-least-once, gap-free).
         if let Some(w) = &self.feed {
+            let g_stage = ack_child("stage", t_gc_end);
             w.stage(&touches)?;
+            if let Some(g) = g_stage {
+                g.finish(sim.now());
+            }
         }
 
         // Phase 5: acknowledge the survivors' WAL receipts in
@@ -2573,6 +2600,129 @@ mod tests {
             b.commit_sum() >= cloudprov_cloud::DEFAULT_VISIBILITY_TIMEOUT,
             "the steal's redelivery wait is part of the txn's latency"
         );
+    }
+
+    /// Two daemons, each on its own WAL queue, commit 8 transactions
+    /// apiece concurrently under the calibrated profile. Returns the
+    /// commit instants, the environment and the index calls made.
+    fn two_daemon_run(traced: bool) -> (Vec<SimTime>, CloudEnv, u64) {
+        use cloudprov_cloud::{Era, RunContext};
+        let sim = Sim::new();
+        let env = CloudEnv::new(&sim, AwsProfile::calibrated(RunContext::ec2(Era::Sept2009)));
+        if traced {
+            env.tracer().enable(11);
+        }
+        let index_calls = Arc::new(AtomicU64::new(0));
+        let commits = Arc::new(Mutex::new(Vec::new()));
+        let mut daemons = Vec::new();
+        let mut clients = Vec::new();
+        for d in 0..2u128 {
+            let calls = index_calls.clone();
+            let cfg = ProtocolConfig {
+                feed: true,
+                step_hook: Some(Arc::new(move |step: &str| {
+                    if step == "p3:commit:group:index" {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                    }
+                    true
+                })),
+                ..ProtocolConfig::default()
+            };
+            let p3 = P3::new(&env, cfg.clone(), &format!("wal-lanes-{d}"));
+            let daemon = Arc::new(CommitDaemon::new(&env, cfg, p3.wal_url()));
+            daemon.set_commit_listener({
+                let (commits, sim) = (commits.clone(), sim.clone());
+                Arc::new(move |_| commits.lock().push(sim.now()))
+            });
+            daemons.push(daemon.spawn(Duration::from_secs(1)));
+            clients.push(p3);
+        }
+        let tasks: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(d, p3)| {
+                move || {
+                    for i in 0..8u128 {
+                        let n = 10_000 * (d as u128 + 1) + 10 * i;
+                        let proc_id = PNodeId::initial(Uuid(n));
+                        let proc = FlushObject::provenance_only(FlushNode {
+                            id: proc_id,
+                            kind: NodeKind::Process,
+                            name: Some(format!("gen{d}")),
+                            records: vec![
+                                ProvenanceRecord::new(proc_id, Attr::Type, "process"),
+                                ProvenanceRecord::new(proc_id, Attr::Name, format!("gen{d}")),
+                            ],
+                            data_hash: None,
+                        });
+                        let mut file = file_obj(n + 1, 1, &format!("lane{d}/{i}"), "x");
+                        file.node.records.push(ProvenanceRecord::new(
+                            file.node.id,
+                            Attr::Input,
+                            proc_id,
+                        ));
+                        p3.flush(FlushBatch {
+                            objects: vec![proc, file],
+                        })
+                        .unwrap();
+                    }
+                }
+            })
+            .collect();
+        sim.run_parallel(2, tasks);
+        while commits.lock().len() < 16 {
+            sim.sleep(Duration::from_secs(1));
+        }
+        for d in daemons {
+            d.stop();
+        }
+        let mut at = commits.lock().clone();
+        at.sort();
+        (at, env, index_calls.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn concurrent_daemons_attribute_each_op_to_their_own_phase() {
+        // Every daemon's phases install their scope under the same
+        // (actor, tenant) key; the group's lane keeps one daemon's ops
+        // from landing under another daemon's phase. Under `index`
+        // only index writes may appear — one per index call — under
+        // `gc` only temp deletes, under `stage` only feed puts.
+        let (untraced, _, _) = two_daemon_run(false);
+        let (traced, env, index_calls) = two_daemon_run(true);
+        assert_eq!(traced, untraced, "tracing must not move any commit");
+        let spans = env.tracer().spans();
+        let kind_of: BTreeMap<u64, &str> = spans.iter().map(|s| (s.id, s.kind)).collect();
+        let ops_under = |kind: &str| -> Vec<&str> {
+            spans
+                .iter()
+                .filter(|s| s.kind == "op" && s.parent.and_then(|p| kind_of.get(&p)) == Some(&kind))
+                .map(|s| s.name.as_str())
+                .collect()
+        };
+        let index_ops = ops_under("index");
+        assert!(index_calls > 0);
+        assert_eq!(index_ops.len() as u64, index_calls, "{index_ops:?}");
+        assert!(
+            index_ops.iter().all(|n| *n == "SimpleDB.DbPut"),
+            "{index_ops:?}"
+        );
+        let gc_ops = ops_under("gc");
+        assert!(
+            !gc_ops.is_empty() && gc_ops.iter().all(|n| *n == "S3.Delete"),
+            "{gc_ops:?}"
+        );
+        let stage_ops = ops_under("stage");
+        assert!(
+            !stage_ops.is_empty() && stage_ops.iter().all(|n| *n == "SimpleDB.DbPut"),
+            "{stage_ops:?}"
+        );
+        // `gc` and `stage` sit under `ack`, never under the root, so
+        // the breakdown's phases are unchanged.
+        for s in spans.iter().filter(|s| s.kind == "gc" || s.kind == "stage") {
+            assert_eq!(s.parent.and_then(|p| kind_of.get(&p)), Some(&"ack"));
+        }
+        assert_eq!(env.tracer().stats().orphans, 0);
     }
 
     #[test]

@@ -126,20 +126,22 @@ impl ShardedCleaners {
         Ok(total)
     }
 
-    /// One sweep of the **ancestry index** for garbage: index items none
-    /// of whose referenced nodes exist in the base domain describe
-    /// provenance that never committed (version-skewed daemons, manual
-    /// surgery — normal operation cannot produce them, because a
-    /// dependent's base item is written before its index entries in the
-    /// same commit). Lists the index once, batch-checks the referenced
-    /// ids against the base domain, and deletes fully-orphaned items on
-    /// M parallel workers.
+    /// One sweep of the **ancestry index** for garbage: packed index
+    /// items none of whose entries' committed nodes exist in the base
+    /// domain describe provenance that never committed (version-skewed
+    /// daemons, manual surgery — normal operation cannot produce them,
+    /// because a group's base items are written before its index item).
+    /// Lists the index once, batch-checks the referenced ids against the
+    /// base domain, and deletes fully-orphaned items on M parallel
+    /// workers.
     ///
-    /// Run after the commit plane quiesces: an item whose *ancestor* id
+    /// Run after the commit plane quiesces: an entry whose *ancestor* id
     /// is still uncommitted is expected (commit order across shards is
-    /// free), so only items whose **dependent/process** ids are all
-    /// absent — ids that a real commit would have written first — are
-    /// reaped. Returns how many items were deleted.
+    /// free), so only items whose **dependent/process** ids
+    /// ([`prov_index::IndexEntry::committed_node`]) are all absent — ids
+    /// that a real commit would have written first — are reaped. Items
+    /// that do not decode are left alone. Returns how many items were
+    /// deleted.
     ///
     /// # Errors
     ///
@@ -156,19 +158,13 @@ impl ShardedCleaners {
         })?;
         // Which node ids does each index item stand on?
         let mut referenced: BTreeSet<String> = BTreeSet::new();
-        let per_item: Vec<(String, Vec<String>)> = items
+        let per_item: Vec<(String, BTreeSet<String>)> = items
             .into_iter()
             .map(|item| {
-                let ids: Vec<String> = item
-                    .attrs
+                let ids: BTreeSet<String> = prov_index::decode_index_item(&item.attrs)
+                    .unwrap_or_default()
                     .iter()
-                    .filter(|(a, _)| {
-                        matches!(
-                            a.as_str(),
-                            prov_index::ATTR_OUT | prov_index::ATTR_FILE | prov_index::ATTR_PROC
-                        )
-                    })
-                    .map(|(_, v)| v.clone())
+                    .map(|e| e.committed_node().to_string())
                     .collect();
                 referenced.extend(ids.iter().cloned());
                 (item.name, ids)
@@ -276,22 +272,28 @@ mod tests {
         let idx_domain = prov_index::index_domain("provenance");
         let live_items = env.sdb().peek_item_count(&idx_domain);
         assert!(live_items > 0);
-        // Plant garbage: an index item referencing nodes that never
-        // committed (a half-applied write from a version-skewed daemon).
+        // Plant garbage: a packed index item whose entries' committed
+        // nodes never committed (a half-applied write from a
+        // version-skewed daemon) — one ghost edge onto the real file and
+        // one ghost seed.
         let ghost = cloudprov_pass::PNodeId::initial(cloudprov_pass::Uuid(999));
+        let entries = [
+            prov_index::IndexEntry::Edge {
+                ancestor: id,
+                dependent: ghost,
+                file: true,
+            },
+            prov_index::IndexEntry::Seed {
+                program: "ghost".into(),
+                process: cloudprov_pass::PNodeId::initial(cloudprov_pass::Uuid(998)),
+            },
+        ];
+        let planted = prov_index::index_items(&entries.into_iter().collect());
+        assert_eq!(planted.len(), 1);
         env.sdb()
-            .put_attributes(
-                &idx_domain,
-                cloudprov_cloud::PutItem {
-                    name: format!(
-                        "rev_{}~0",
-                        cloudprov_pass::PNodeId::initial(cloudprov_pass::Uuid(998))
-                    ),
-                    attrs: vec![(prov_index::ATTR_OUT.into(), ghost.to_string())],
-                    replace: false,
-                },
-            )
+            .batch_put_attributes(&idx_domain, planted)
             .unwrap();
+        assert!(!prov_index::audit_index(&env, &cloudprov_core::Layout::default()).consistent());
         let cleaners = ShardedCleaners::new(&env, ProtocolConfig::default(), 4);
         assert_eq!(cleaners.sweep_index_once().unwrap(), 1, "only the ghost");
         assert_eq!(env.sdb().peek_item_count(&idx_domain), live_items);

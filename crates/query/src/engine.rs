@@ -241,6 +241,10 @@ impl QueryEngine {
                     .as_deref()
                     .map(|d| self.env.sdb().peek_item_count(d))
                     .unwrap_or(0),
+                index_bytes: index_domain
+                    .as_deref()
+                    .map(|d| self.env.sdb().peek_domain_bytes(d))
+                    .unwrap_or(0),
             },
         }
     }

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use cloudprov_cloud::SELECT_PAGE_ITEMS;
+use cloudprov_cloud::{SELECT_PAGE_BYTES, SELECT_PAGE_ITEMS};
 
 /// An access path through the read layers.
 ///
@@ -132,6 +132,11 @@ pub struct DomainStats {
     pub main_items: usize,
     /// Items in the ancestry-index domain (0 when absent).
     pub index_items: usize,
+    /// Bytes of item names, attribute names and values in the
+    /// ancestry-index domain (0 when absent). A full packed item holds
+    /// ~10 KB, so a SELECT page of them fills its 1 MB cap at ~100
+    /// items, before its 250-item cap.
+    pub index_bytes: u64,
 }
 
 /// The planner's verdict, reported with every query result.
@@ -180,8 +185,11 @@ impl PlanHistory {
     }
 }
 
-fn pages(items: usize) -> u64 {
-    (items.max(1)).div_ceil(SELECT_PAGE_ITEMS) as u64
+/// SELECT pages a full read of `items` items totalling `bytes` takes:
+/// a page closes at 250 items or 1 MB, whichever comes first.
+fn pages(items: usize, bytes: u64) -> u64 {
+    let by_items = items.max(1).div_ceil(SELECT_PAGE_ITEMS) as u64;
+    by_items.max(bytes.div_ceil(SELECT_PAGE_BYTES))
 }
 
 /// Static op-count estimate for running `query` through `plan`.
@@ -192,7 +200,8 @@ fn pages(items: usize) -> u64 {
 /// * SELECT point queries pay one seed SELECT plus one per estimated
 ///   process (process density assumed 1/64 of items when unprobed), and
 ///   Q.4 adds a frontier round per estimated depth;
-/// * the index pays one seed lookup plus the adjacency pages;
+/// * the index pays one seed lookup plus the adjacency pages, counted by
+///   both page caps (items and bytes);
 /// * the cache pays nothing warm and the index's bill cold (it hydrates
 ///   through the same lookups), so a cold cache ties the index and wins
 ///   the tie by declaration order — hydrating on first use.
@@ -203,7 +212,7 @@ pub fn estimate(query: QueryKind, plan: Plan, stats: &DomainStats, state: CacheS
             QueryKind::Q2 => 2,
             _ => 1 + stats.prov_objects as u64,
         },
-        (QueryKind::Q1, Plan::SdbSelect | Plan::Index | Plan::Cached) => pages(stats.main_items),
+        (QueryKind::Q1, Plan::SdbSelect | Plan::Index | Plan::Cached) => pages(stats.main_items, 0),
         (QueryKind::Q2, Plan::SdbSelect | Plan::Index | Plan::Cached) => 2,
         (QueryKind::Q3, Plan::SdbSelect) => 1 + est_procs,
         (QueryKind::Q4, Plan::SdbSelect) => {
@@ -213,7 +222,9 @@ pub fn estimate(query: QueryKind, plan: Plan, stats: &DomainStats, state: CacheS
             1 + est_procs.div_ceil(20) + frontier.div_ceil(20)
         }
         (QueryKind::Q3 | QueryKind::Q4, Plan::Cached) if state == CacheState::Warm => 0,
-        (QueryKind::Q3 | QueryKind::Q4, Plan::Index | Plan::Cached) => 1 + pages(stats.index_items),
+        (QueryKind::Q3 | QueryKind::Q4, Plan::Index | Plan::Cached) => {
+            1 + pages(stats.index_items, stats.index_bytes)
+        }
     }
 }
 
@@ -315,7 +326,26 @@ mod tests {
             prov_objects,
             main_items,
             index_items,
+            index_bytes: 0,
         }
+    }
+
+    #[test]
+    fn the_byte_cap_decides_the_index_page_count() {
+        // 400 full packed items take two pages by the 250-item cap, but
+        // at ~10 KB each they fill four 1 MB pages; plus the seed lookup.
+        let mut s = stats(0, 2000, 400);
+        s.index_bytes = 400 * 10_000;
+        for q in [QueryKind::Q3, QueryKind::Q4] {
+            assert_eq!(estimate(q, Plan::Index, &s, CacheState::Uncached), 5);
+            assert_eq!(estimate(q, Plan::Cached, &s, CacheState::Cold), 5);
+        }
+        // Lean items: the item cap decides.
+        s.index_bytes = 400 * 100;
+        assert_eq!(
+            estimate(QueryKind::Q4, Plan::Index, &s, CacheState::Uncached),
+            3
+        );
     }
 
     #[test]

@@ -3,16 +3,22 @@
 //! the provenance items.
 //!
 //! The index domain holds *only* graph structure (reverse `input` edges
-//! with a file marker, plus program → process seeds), so it is tiny next
-//! to the record log: fetching the whole materialized reverse adjacency
-//! costs a handful of lean SELECT pages, after which Q.4's walk is local
-//! — versus one `input in (...)` SELECT per 20 frontier ids per round on
+//! with a file marker, plus program → process seeds), packed by the
+//! commit daemon into one or a few 256-pair items per commit group, so
+//! it is tiny next to the record log: fetching the whole reverse
+//! adjacency is one SELECT over the domain, usually one page (pages are
+//! capped at 250 items or 1 MB), after which Q.4's walk is local —
+//! versus one `input in (...)` SELECT per 20 frontier ids per round on
 //! the non-indexed path. Q.3 is one seed lookup plus the same adjacency.
+//! The seed lookup is an equality SELECT on the items' multi-valued
+//! `prog` attribute; it returns every item holding a seed of the
+//! program, and the reader keeps that program's seeds. An entry a
+//! recommit wrote into two items decodes twice and is kept once.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cloudprov_cloud::{quote_like_prefix, Actor, CloudEnv};
-use cloudprov_core::index as schema;
+use cloudprov_cloud::{quote_literal, Actor, CloudEnv};
+use cloudprov_core::index::{decode_index_item, IndexEntry, ATTR_PROG};
 use cloudprov_pass::{PNodeId, ProvenanceRecord};
 
 use super::{local, GraphSource, Mode, OutputSet, Result, SdbSelectSource};
@@ -61,40 +67,43 @@ impl IndexSource {
         self.env.sdb().peek_item_count(&self.index_domain)
     }
 
-    /// Fetches the whole materialized reverse adjacency in lean pages
-    /// (the `rev_%` items carry nothing but edges).
+    /// The decoded entries of every index item `expr` selects; items a
+    /// commit daemon could not have written (pairs that do not decode)
+    /// are skipped.
+    fn entries(&self, expr: &str) -> Result<impl Iterator<Item = IndexEntry>> {
+        let items = self.env.sdb().with_actor(Actor::Query).select_all(expr)?;
+        Ok(items
+            .into_iter()
+            .filter_map(|item| decode_index_item(&item.attrs))
+            .flatten())
+    }
+
+    /// Fetches the whole materialized reverse adjacency: one SELECT over
+    /// the index domain, whose items carry nothing but entries.
     ///
     /// # Errors
     ///
     /// Propagates cloud errors.
     pub fn adjacency(&self) -> Result<RevAdjacency> {
-        let items = self
-            .env
-            .sdb()
-            .with_actor(Actor::Query)
-            .select_all(&format!(
-                "select * from {} where itemName() like '{}%'",
-                self.index_domain,
-                schema::REV_PREFIX
-            ))?;
+        let mut out: BTreeMap<PNodeId, BTreeSet<PNodeId>> = BTreeMap::new();
         let mut adj = RevAdjacency::default();
-        for item in items {
-            let Some(ancestor) = schema::parse_rev_item(&item.name) else {
-                continue;
-            };
-            for (attr, value) in &item.attrs {
-                let Ok(dep) = value.parse::<PNodeId>() else {
-                    continue;
-                };
-                match attr.as_str() {
-                    schema::ATTR_OUT => adj.out.entry(ancestor).or_default().push(dep),
-                    schema::ATTR_FILE => {
-                        adj.files.insert(dep);
-                    }
-                    _ => {}
+        for entry in self.entries(&format!("select * from {}", self.index_domain))? {
+            if let IndexEntry::Edge {
+                ancestor,
+                dependent,
+                file,
+            } = entry
+            {
+                out.entry(ancestor).or_default().insert(dependent);
+                if file {
+                    adj.files.insert(dependent);
                 }
             }
         }
+        adj.out = out
+            .into_iter()
+            .map(|(a, deps)| (a, deps.into_iter().collect()))
+            .collect();
         Ok(adj)
     }
 }
@@ -113,29 +122,23 @@ impl GraphSource for IndexSource {
     }
 
     fn processes_named(&self, program: &str, _mode: Mode) -> Result<Vec<PNodeId>> {
-        // One lookup: the buckets of `name_{program}` share a LIKE
-        // prefix, so a single SELECT returns every seed.
-        let items = self
-            .env
-            .sdb()
-            .with_actor(Actor::Query)
-            .select_all(&format!(
-                "select * from {} where itemName() like {}",
-                self.index_domain,
-                quote_like_prefix(&format!("{}{}~", schema::NAME_PREFIX, program), "%")
-            ))?;
+        // One equality lookup on the packed items' `prog` attribute.
+        let expr = format!(
+            "select * from {} where {} = {}",
+            self.index_domain,
+            ATTR_PROG,
+            quote_literal(program)
+        );
         let mut out: BTreeSet<PNodeId> = BTreeSet::new();
-        for item in items {
-            // LIKE over-matches programs sharing the prefix; keep exact.
-            if schema::parse_name_item(&item.name) != Some(program) {
-                continue;
-            }
-            for (attr, value) in &item.attrs {
-                if attr == schema::ATTR_PROC {
-                    if let Ok(id) = value.parse() {
-                        out.insert(id);
-                    }
+        for entry in self.entries(&expr)? {
+            match entry {
+                IndexEntry::Seed {
+                    program: p,
+                    process,
+                } if p == program => {
+                    out.insert(process);
                 }
+                _ => {}
             }
         }
         Ok(out.into_iter().collect())

@@ -28,6 +28,46 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::time::SimTime;
 
+thread_local! {
+    /// The calling thread's lane (see [`lane`]); 0 until entered.
+    static LANE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Source of fresh lane ids, process-wide so lanes never collide across
+/// simulations sharing a tracer.
+static NEXT_LANE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+
+/// The calling simulated thread's *lane*: an opaque tag a thread enters
+/// with [`enter_lane`] and that every simulated thread it spawns (so every
+/// [`Sim::run_parallel`] worker) inherits. Lanes let per-activity state —
+/// such as a tracer's ambient parent span — be keyed by the activity that
+/// issued a call, however many threads it fanned out over. Threads that
+/// never entered one share lane 0.
+pub fn lane() -> u64 {
+    LANE.with(std::cell::Cell::get)
+}
+
+/// Moves the calling thread onto a fresh lane until the returned guard
+/// drops, which restores the previous one.
+pub fn enter_lane() -> LaneGuard {
+    let fresh = NEXT_LANE.fetch_add(1, Ordering::Relaxed);
+    LaneGuard {
+        previous: LANE.with(|l| l.replace(fresh)),
+    }
+}
+
+/// Restores the lane [`enter_lane`] replaced when dropped.
+#[derive(Debug)]
+pub struct LaneGuard {
+    previous: u64,
+}
+
+impl Drop for LaneGuard {
+    fn drop(&mut self) {
+        LANE.with(|l| l.set(self.previous));
+    }
+}
+
 /// A waiting simulated thread: the condvar it parks on and the flag that
 /// releases it. The flag is only mutated while holding the kernel lock.
 pub(crate) struct Waiter {
@@ -253,8 +293,8 @@ impl Sim {
     /// Starts a new simulated thread running `f`.
     ///
     /// The thread begins executing at the current virtual instant, once the
-    /// spawner blocks. Panics inside `f` are captured and re-raised from
-    /// [`SimHandle::join`].
+    /// spawner blocks, on the spawner's [`lane`]. Panics inside `f` are
+    /// captured and re-raised from [`SimHandle::join`].
     pub fn spawn<T, F>(&self, f: F) -> SimHandle<T>
     where
         T: Send + 'static,
@@ -271,9 +311,11 @@ impl Sim {
             guard.schedule(at, start.clone());
         }
         let sim = self.clone();
+        let lane = lane();
         thread::Builder::new()
             .name(format!("sim-{slot}"))
             .spawn(move || {
+                LANE.with(|l| l.set(lane));
                 // Wait to be scheduled: the start event makes us runnable
                 // only when every other simulated thread has blocked.
                 {
@@ -424,6 +466,31 @@ mod tests {
         sim.sleep(Duration::from_secs(3600));
         assert_eq!(sim.now().as_secs_f64(), 3600.0);
         assert!(wall.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn lanes_are_inherited_by_spawned_threads_and_restored() {
+        let sim = Sim::new();
+        assert_eq!(lane(), 0);
+        let outer = enter_lane();
+        let a = lane();
+        assert_ne!(a, 0);
+        // Every run_parallel worker runs on the spawner's lane, nested
+        // spawns included.
+        let tasks: Vec<_> = (0..3)
+            .map(|_| {
+                let sim = sim.clone();
+                move || (lane(), sim.spawn(lane).join())
+            })
+            .collect();
+        assert!(sim.run_parallel(2, tasks).iter().all(|&l| l == (a, a)));
+        {
+            let _inner = enter_lane();
+            assert_ne!(lane(), a);
+        }
+        assert_eq!(lane(), a);
+        drop(outer);
+        assert_eq!(lane(), 0);
     }
 
     #[test]

@@ -52,6 +52,6 @@ mod kernel;
 mod sync;
 mod time;
 
-pub use kernel::{Sim, SimHandle};
+pub use kernel::{enter_lane, lane, LaneGuard, Sim, SimHandle};
 pub use sync::{SemPermit, SimSemaphore};
 pub use time::SimTime;

@@ -155,8 +155,13 @@ struct TraceState {
     spans: Vec<SpanRecord>,
     dropped: u64,
     roots: BTreeMap<u128, RootState>,
-    scopes: BTreeMap<(u8, Option<u32>), SpanContext>,
+    /// Ambient parents by `(actor tag, tenant, lane)`.
+    scopes: BTreeMap<ScopeKey, SpanContext>,
 }
+
+/// An ambient scope's key: actor tag, tenant, and the issuing thread's
+/// [`cloudprov_sim::lane`].
+type ScopeKey = (u8, Option<u32>, u64);
 
 impl TraceState {
     fn fresh(seed: u64) -> TraceState {
@@ -368,8 +373,9 @@ impl Tracer {
         );
     }
 
-    /// Opens a phase span now; the returned guard emits it — and clears
-    /// the ambient scope it installed — when dropped, so error paths
+    /// Opens a phase span now; the returned guard emits it — and hands
+    /// the ambient scope it installed back to whatever it replaced (an
+    /// enclosing phase's, or none) — when dropped, so error paths
     /// (daemon crashes mid-phase) still close the tree. Call
     /// [`PhaseGuard::finish`] with the phase's end instant on success.
     pub fn phase(
@@ -385,9 +391,11 @@ impl Tracer {
             return None;
         }
         let ctx = self.alloc(trace);
-        if let Some((tag, scope_tenant)) = scope {
-            self.set_scope(tag, scope_tenant, ctx);
-        }
+        let scope = scope.map(|(tag, scope_tenant)| {
+            let key = (tag, scope_tenant, cloudprov_sim::lane());
+            let previous = self.inner.state.lock().scopes.insert(key, ctx);
+            (key, previous)
+        });
         Some(PhaseGuard {
             tracer: self.clone(),
             ctx,
@@ -400,32 +408,21 @@ impl Tracer {
         })
     }
 
-    /// Installs the ambient parent for leaf op spans recorded under the
-    /// `(actor tag, tenant)` key. Best-effort by design: two concurrent
-    /// flushes of one tenant interleave attribution (last set wins),
-    /// which perturbs leaf parentage but never tree connectivity — leaf
-    /// spans always attach to a live span of SOME trace.
-    pub fn set_scope(&self, tag: u8, tenant: Option<u32>, ctx: SpanContext) {
-        if !self.enabled() {
-            return;
-        }
-        self.inner.state.lock().scopes.insert((tag, tenant), ctx);
-    }
-
-    /// Removes an ambient scope.
-    pub fn clear_scope(&self, tag: u8, tenant: Option<u32>) {
-        if !self.enabled() {
-            return;
-        }
-        self.inner.state.lock().scopes.remove(&(tag, tenant));
-    }
-
-    /// The ambient parent for `(actor tag, tenant)`, if one is set.
+    /// The ambient parent for leaf op spans recorded under the
+    /// `(actor tag, tenant)` key on the calling thread's lane
+    /// ([`cloudprov_sim::lane`], inherited by the threads it spawns), if
+    /// a [`Tracer::phase`] installed one. Activities that enter a lane of
+    /// their own (each commit group does) never see each other's scopes.
+    /// Best-effort on a shared lane: two concurrent flushes of one tenant
+    /// interleave attribution (last set wins), which perturbs leaf
+    /// parentage but never tree connectivity — leaf spans always attach
+    /// to a live span of SOME trace.
     pub fn scope(&self, tag: u8, tenant: Option<u32>) -> Option<SpanContext> {
         if !self.enabled() {
             return None;
         }
-        self.inner.state.lock().scopes.get(&(tag, tenant)).copied()
+        let key = (tag, tenant, cloudprov_sim::lane());
+        self.inner.state.lock().scopes.get(&key).copied()
     }
 
     /// Opens the lifecycle root for transaction `txn` (trace id = txn).
@@ -695,7 +692,10 @@ pub struct PhaseGuard {
     kind: &'static str,
     tenant: Option<u32>,
     start: SimTime,
-    scope: Option<(u8, Option<u32>)>,
+    /// The ambient scope this phase installed, and the parent it
+    /// replaced (restored on drop, so a nested phase hands its scope
+    /// back to the enclosing one).
+    scope: Option<(ScopeKey, Option<SpanContext>)>,
     end: Option<SimTime>,
 }
 
@@ -718,8 +718,12 @@ impl PhaseGuard {
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        if let Some((tag, tenant)) = self.scope.take() {
-            self.tracer.clear_scope(tag, tenant);
+        if let Some((key, previous)) = self.scope.take() {
+            let scopes = &mut self.tracer.inner.state.lock().scopes;
+            match previous {
+                Some(ctx) => scopes.insert(key, ctx),
+                None => scopes.remove(&key),
+            };
         }
         // An unfinished drop is an error path (a crash hook fired inside
         // the phase): close at the current instant so the trace stays
@@ -920,6 +924,43 @@ mod tests {
         let copy = spans.iter().find(|s| s.kind == "copy").unwrap();
         assert_eq!(copy.parent, Some(root.span));
         assert_eq!(copy.t_start, t(5));
+    }
+
+    #[test]
+    fn nested_phases_restore_the_enclosing_scope_and_lanes_isolate() {
+        let tr = enabled_tracer();
+        let root = tr.open_txn(1, None).unwrap();
+        let key = (SCOPE_COMMIT_DAEMON, None);
+        let _lane = cloudprov_sim::enter_lane();
+        let ack = tr
+            .phase(1, root.span, "ack", None, Some(key), t(0))
+            .unwrap();
+        {
+            let gc = tr
+                .phase(1, ack.ctx().span, "gc", None, Some(key), t(0))
+                .unwrap();
+            assert_eq!(tr.scope(key.0, key.1), Some(gc.ctx()));
+            // Another activity's lane sees neither phase, and its own
+            // phase does not disturb this lane's.
+            let other = std::thread::spawn({
+                let tr = tr.clone();
+                move || {
+                    let _lane = cloudprov_sim::enter_lane();
+                    assert_eq!(tr.scope(key.0, key.1), None);
+                    let g = tr.phase(2, 0, "index", None, Some(key), t(0)).unwrap();
+                    assert_eq!(tr.scope(key.0, key.1), Some(g.ctx()));
+                }
+            });
+            other.join().unwrap();
+            assert_eq!(tr.scope(key.0, key.1), Some(gc.ctx()));
+        }
+        assert_eq!(tr.scope(key.0, key.1), Some(ack.ctx()));
+        drop(ack);
+        assert_eq!(tr.scope(key.0, key.1), None);
+        let spans = tr.spans();
+        let ack = spans.iter().find(|s| s.kind == "ack").unwrap();
+        let gc = spans.iter().find(|s| s.kind == "gc").unwrap();
+        assert_eq!(gc.parent, Some(ack.id));
     }
 
     #[test]
